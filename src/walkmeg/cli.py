@@ -43,7 +43,6 @@ from .momentum import (
 )
 from .results import ResultTable, format_float
 from .search import (
-    BRUTE_FORCE_MAX_T,
     AnnealConfig,
     ResourceLimitError,
     anneal,
@@ -200,10 +199,6 @@ def _parse_T_range(raw: str) -> tuple[int, int]:
 
 
 def _brute_best_bits(T: int, coin0: np.ndarray, coin1: np.ndarray) -> str:
-    if T > BRUTE_FORCE_MAX_T:
-        raise ResourceLimitError(
-            f"exhaustive best needs T <= {BRUTE_FORCE_MAX_T}, got {T}"
-        )
     fid = enumerate_fidelities(coin0, coin1, T)
     return format(int(np.argmax(fid)), f"0{T}b")
 
@@ -318,10 +313,6 @@ def _cmd_search(ns) -> tuple[ResultTable, int]:
         tolerance = float(ns.tol)
         if not tolerance > 0.0:
             raise ValueError("--tol must be positive")
-        if T > BRUTE_FORCE_MAX_T:
-            raise ResourceLimitError(
-                f"brute force supports 1 <= T <= {BRUTE_FORCE_MAX_T}, got {T}"
-            )
         fid = enumerate_fidelities(coin0, coin1, T)
         hits = np.nonzero(fid > 1.0 - tolerance)[0]
         metadata["best_fidelity"] = float(fid.max())

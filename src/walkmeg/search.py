@@ -1,23 +1,45 @@
 """Optimization machinery over coin sequences.
 
 Exhaustive search over all 2^T bit strings, simulated annealing over
-(gamma0, gamma1, bits), and the coin-angle landscape scan. The exhaustive
-paths evaluate the channel fidelity against the fully depolarizing target
-directly from the Kraus blocks of the walk unitary, which is algebraically
-identical to the tomography route in the channel module; the equality of
-the two routes is asserted by tests, not assumed here.
+(gamma0, gamma1, bits), and the coin-angle landscape scan all score a
+string by its process fidelity against the fully depolarizing target,
+computed by one momentum-space kernel. It is algebraically identical to
+the tomography route in the channel module; tests assert the equality.
 
-Enumeration is vectorized: batches of bit strings evolve together, and the
-full 2^T sweep composes precomputed half-sequence evolutions through a
-position-space convolution (evaluated by FFT), cutting the per-string cost
-to the channel reconstruction alone. Workers partition the bit-string
-range; partial results are merged in ascending bit-string order so the
-outcome is independent of the worker count. The WALKMEG_THREADS
-environment variable caps the worker pool.
+Exact grid. With the shift S(k) = diag(e^{-ik}, e^{ik}) the walk is
+U(k) = S C_{b_T} ... S C_{b_1}, whose x-th Fourier coefficient is the
+Kraus operator K_x. Positions run over -T..T, so the entries of U(k) are
+trigonometric polynomials of degree <= T, and the uniform grid of
+n = 2T+1 momenta reproduces sum_x K_x rho K_x^dag exactly (Parseval).
+
+SU(2) products. Each coin divided by sqrt(det) makes every step an SU(2)
+matrix [[a, b], [-b*, a*]], stored as the unit quaternion
+(Re a, Im a, Re b, Im b), and products are real 4x4 matrix products. The
+dropped determinants give U(k) one global phase, the same at every k, so
+the Pauli-coefficient matrix of the walk is that phase times the unitary
+diag(1, i, i, i) times the real 4 x n quaternion matrix A (rows permuted).
+
+Nuclear norm. The channel's chi matrix is unitarily similar to A A^T / n
+and the target's is 1/4, so F = (tr sqrt(chi))^2 / 4 = ||A||_*^2 / (4n). The
+singular values come straight from A, never as square roots of Gram
+eigenvalues (which leave a ~1e-8 floor), so round-off stays near 1e-15.
+F is clamped to 1.
+
+First-coin symmetry. The first coin acts on the walker at the origin
+before any shift: a unitary on the input coin, to which the target's
+Choi state I/4 is blind. Flipping the first bit leaves F unchanged, so
+the sweep evaluates the 2^(T-1) strings starting with 0 and mirrors them.
+
+The sweep meets in the middle: prefix and suffix products are built once
+and each fixed chunk of prefixes meets all suffixes in one batched real
+matmul. Workers take whole chunks, merged in ascending order, so the
+output is byte-identical for any worker count. Small sweeps run
+serially; large ones use a process pool, capped by WALKMEG_THREADS.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -25,8 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coins import rotation_coin
-from .walk import CoinSequence
+from .coins import require_coin, rotation_coin
 
 __all__ = [
     "ResourceLimitError",
@@ -45,8 +66,11 @@ __all__ = [
 BRUTE_FORCE_MAX_T = 24
 LANDSCAPE_MAX_T = 12
 
-_SPLIT_THRESHOLD = 14  # below this a flat batched sweep is faster
-_CHUNK = 1 << 13
+_CHUNK = 1 << 10  # strings scored per batched matmul and SVD call
+# Sweeps of fewer strings run serially. Measured on 2 CPUs: a pool costs
+# ~25 ms of wall time and ~40 ms of CPU to start, and 2^14 strings take
+# ~0.12 s serially, which two workers bring down to ~0.08 s.
+_POOL_MIN_STRINGS = 1 << 14
 
 
 class ResourceLimitError(RuntimeError):
@@ -71,60 +95,56 @@ def worker_count(requested: int | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# batched fidelity evaluation
+# fidelity kernel
 # ---------------------------------------------------------------------------
 
-def _evolve_basis_batch(coin0: np.ndarray, coin1: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Evolve both coin-basis inputs for a batch of bit rows.
+# L(q) p = q * p for quaternions (Re a, Im a, Re b, Im b), a, b the first row
+# of [[a, b], [-b*, a*]]: L(q)[i, j] = _LEFT_SIGN[i, j] * q[_LEFT_INDEX[i, j]]
+_LEFT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_LEFT_SIGN = np.array([[1, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]], dtype=float)
 
-    bits has shape (B, T) with 0/1 entries; the result has shape
-    (B, 2, 2, 2T+1) indexed by (row, input basis, coin bit, position).
+
+def _left_mul(q: np.ndarray) -> np.ndarray:
+    """Real 4x4 matrices of left multiplication by the quaternions q (..., 4)."""
+    return q[..., _LEFT_INDEX] * _LEFT_SIGN
+
+
+def _su2_steps(coin0: np.ndarray, coin1: np.ndarray, n: int) -> np.ndarray:
+    """Both walk steps on the n-point momentum grid, as left multiplications.
+
+    Step b is S(k) C_b / sqrt(det C_b); the result has shape (2, n, 4, 4),
+    indexed by (coin bit, momentum, row, column).
     """
-    n_rows, T = bits.shape
-    width = 2 * T + 1
-    amp = np.zeros((n_rows, 2, 2, width), dtype=np.complex128)
-    amp[:, 0, 0, T] = 1.0
-    amp[:, 1, 1, T] = 1.0
-    c0 = np.asarray(coin0, dtype=np.complex128)
-    c1 = np.asarray(coin1, dtype=np.complex128)
-    for t in range(T):
-        sel = bits[:, t, None, None]
-        coin = np.where(sel == 0, c0[None], c1[None])  # (B, 2, 2)
-        up = coin[:, None, 0, 0, None] * amp[:, :, 0, :] + coin[:, None, 0, 1, None] * amp[:, :, 1, :]
-        dn = coin[:, None, 1, 0, None] * amp[:, :, 0, :] + coin[:, None, 1, 1, None] * amp[:, :, 1, :]
-        nxt = np.zeros_like(amp)
-        nxt[:, :, 0, 1:] = up[:, :, :-1]
-        nxt[:, :, 1, :-1] = dn[:, :, 1:]
-        amp = nxt
-    return amp
+    first_rows = []
+    for coin in (coin0, coin1):
+        c = require_coin(coin)
+        first_rows.append(c[0] / cmath.sqrt(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]))
+    phase = np.exp(-2j * np.pi * np.arange(n) / n)
+    # complex pairs (a, b) viewed as the reals (Re a, Im a, Re b, Im b)
+    return _left_mul((np.array(first_rows)[:, None, :] * phase[:, None]).view(np.float64))
 
 
-def _fidelities_from_blocks(amp: np.ndarray, weight: float = 1.0) -> np.ndarray:
-    """Depolarizing-target fidelity from batched basis evolutions.
+def _string_quaternions(steps: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """U(k) of each bit row as quaternions, shape (B, n, 4)."""
+    q = np.zeros((bits.shape[0], steps.shape[1], 4))
+    q[..., 0] = 1.0
+    for t in range(bits.shape[1]):
+        q = np.matmul(steps[bits[:, t]], q[..., None])[..., 0]
+    return q
 
-    amp is (B, 2, 2, n) as produced by _evolve_basis_batch, or its Fourier
-    transform along the position axis with weight = 1/n_fft. The Kraus
-    blocks are K_x[c, c_in] = amp[c_in, c, x]; their Pauli coefficients
-    assemble the trace-1 chi matrix, whose eigenvalues give
-    F = (sum_i sqrt(lam_i))^2 / 4 against chi = 1/4.
-    """
-    k00 = amp[:, 0, 0, :]
-    k01 = amp[:, 1, 0, :]
-    k10 = amp[:, 0, 1, :]
-    k11 = amp[:, 1, 1, :]
-    coeff = np.stack(
-        [
-            0.5 * (k00 + k11),
-            0.5 * (k01 + k10),
-            0.5j * (k01 - k10),
-            0.5 * (k00 - k11),
-        ],
-        axis=-1,
-    )  # (B, n, 4)
-    chi = np.einsum("bxm,bxn->bmn", coeff, coeff.conj()) * weight
-    lam = np.linalg.eigvalsh(chi)
-    np.clip(lam, 0.0, None, out=lam)
-    return np.square(np.sqrt(lam).sum(axis=-1)) * 0.25
+
+def _fidelity(q: np.ndarray) -> np.ndarray:
+    """F = ||A||_*^2 / (4n), clamped to 1, for quaternion columns q (..., n, 4)."""
+    sv = np.linalg.svd(q, compute_uv=False)
+    return np.minimum(np.square(sv.sum(axis=-1)) / (4 * q.shape[-2]), 1.0)
+
+
+def _row_fidelities(steps: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    out = np.empty(bits.shape[0])
+    for lo in range(0, bits.shape[0], _CHUNK):
+        part = bits[lo : lo + _CHUNK]
+        out[lo : lo + part.shape[0]] = _fidelity(_string_quaternions(steps, part))
+    return out
 
 
 def _bits_matrix(values: np.ndarray, T: int) -> np.ndarray:
@@ -134,65 +154,46 @@ def _bits_matrix(values: np.ndarray, T: int) -> np.ndarray:
 
 def batch_fidelities(coin0: np.ndarray, coin1: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Fidelity against the depolarizing target for each bit row."""
-    bits = np.asarray(bits)
+    bits = np.asarray(bits, dtype=np.intp)
     if bits.ndim != 2:
         raise ValueError("bits must be a 2d array of 0/1 rows")
-    out = np.empty(bits.shape[0])
-    for lo in range(0, bits.shape[0], _CHUNK):
-        part = bits[lo : lo + _CHUNK]
-        out[lo : lo + part.shape[0]] = _fidelities_from_blocks(
-            _evolve_basis_batch(coin0, coin1, part)
-        )
-    return out
+    return _row_fidelities(_su2_steps(coin0, coin1, 2 * bits.shape[1] + 1), bits)
 
 
-def _enumerate_range_flat(coin0, coin1, T: int, lo: int, hi: int) -> np.ndarray:
-    out = np.empty(hi - lo)
-    for start in range(lo, hi, _CHUNK):
-        stop = min(start + _CHUNK, hi)
-        values = np.arange(start, stop, dtype=np.uint32)
-        blocks = _evolve_basis_batch(coin0, coin1, _bits_matrix(values, T))
-        out[start - lo : stop - lo] = _fidelities_from_blocks(blocks)
-    return out
+def _sweep_layout(T: int) -> tuple[int, int, int]:
+    """(suffix bits, prefixes per chunk, chunk count) of the T-step sweep.
 
-
-def _enumerate_range_split(coin0, coin1, T: int, prefix_lo: int, prefix_hi: int) -> np.ndarray:
-    """Fidelities for all strings whose leading bits lie in [prefix_lo, prefix_hi).
-
-    The prefix occupies the high bits, so the result is the contiguous
-    slice [prefix_lo * 2^Ts, prefix_hi * 2^Ts) of the full sweep. Prefix
-    states and suffix transfer operators are evolved once; translation
-    invariance turns their composition into a position convolution, done
-    via FFT. Fidelities come straight from the frequency-domain Kraus
-    blocks (Parseval), skipping the inverse transform.
+    Prefixes carry the T - T//2 leading bits and start with 0; each chunk
+    composes its prefixes with every suffix, about _CHUNK strings.
     """
-    t_pre = T // 2
-    t_suf = T - t_pre
+    t_suf = T // 2
+    n_pre = 1 << (T - t_suf - 1)
+    per_chunk = min(n_pre, max(1, _CHUNK >> t_suf))
+    return t_suf, per_chunk, n_pre // per_chunk
+
+
+def _sweep(coin0, coin1, T: int, chunk_lo: int, chunk_hi: int) -> np.ndarray:
+    """Fidelities of the 0-led strings whose prefixes lie in chunks [chunk_lo, chunk_hi).
+
+    The prefix occupies the high bits, so the result is a contiguous
+    slice of the sweep in ascending string order.
+    """
+    n = 2 * T + 1
+    t_suf, per_chunk, _ = _sweep_layout(T)
     n_suf = 1 << t_suf
-    n_fft = 1 << max(2 * T + 1 - 1, 1).bit_length()
-
-    pre_vals = np.arange(prefix_lo, prefix_hi, dtype=np.uint32)
-    pre = _evolve_basis_batch(coin0, coin1, _bits_matrix(pre_vals, t_pre))
-    suf_vals = np.arange(n_suf, dtype=np.uint32)
-    suf = _evolve_basis_batch(coin0, coin1, _bits_matrix(suf_vals, t_suf))
-    pre_f = np.fft.fft(pre, n=n_fft, axis=-1)  # (P, 2in, 2mid, nf)
-    suf_f = np.fft.fft(suf, n=n_fft, axis=-1)  # (S, 2mid, 2out, nf)
-
-    out = np.empty((prefix_hi - prefix_lo) * n_suf)
-    for i in range(pre_f.shape[0]):
-        total = (
-            pre_f[i, :, 0, :][None, :, None, :] * suf_f[:, 0, :, :][:, None, :, :]
-            + pre_f[i, :, 1, :][None, :, None, :] * suf_f[:, 1, :, :][:, None, :, :]
-        )  # (S, 2in, 2out, nf)
-        out[i * n_suf : (i + 1) * n_suf] = _fidelities_from_blocks(total, weight=1.0 / n_fft)
-    return out
-
-
-def _enumerate_worker(args) -> np.ndarray:
-    coin0, coin1, T, lo, hi, split = args
-    if split:
-        return _enumerate_range_split(coin0, coin1, T, lo, hi)
-    return _enumerate_range_flat(coin0, coin1, T, lo, hi)
+    steps = _su2_steps(coin0, coin1, n)
+    suffix = _string_quaternions(steps, _bits_matrix(np.arange(n_suf, dtype=np.uint32), t_suf))
+    # per momentum, the stacked left-multiplication matrices of all suffixes
+    left = _left_mul(suffix.transpose(1, 0, 2)).reshape(n, 4 * n_suf, 4)
+    pre_vals = np.arange(chunk_lo * per_chunk, chunk_hi * per_chunk, dtype=np.uint32)
+    prefix = _string_quaternions(steps, _bits_matrix(pre_vals, T - t_suf)).transpose(1, 2, 0)
+    out = np.empty((pre_vals.size, n_suf))
+    for lo in range(0, pre_vals.size, per_chunk):
+        hi = lo + per_chunk
+        total = np.matmul(left, np.ascontiguousarray(prefix[:, :, lo:hi]))  # (n, 4S, c)
+        total = total.reshape(n, n_suf, 4, per_chunk).transpose(3, 1, 0, 2)
+        out[lo:hi] = _fidelity(total)
+    return out.ravel()
 
 
 def enumerate_fidelities(
@@ -201,29 +202,32 @@ def enumerate_fidelities(
     """Fidelity of every bit string of length T, indexed by its integer value.
 
     Bit strings map to indices with the first step as the most significant
-    bit. Worker partitions are contiguous index ranges concatenated in
-    ascending order, so any worker count yields the identical array.
+    bit. Only strings starting with 0 are evaluated; the other half is
+    their mirror image (first-coin symmetry). Raises ResourceLimitError
+    outside 1 <= T <= BRUTE_FORCE_MAX_T. Worker partitions are whole
+    chunks concatenated in ascending order, so any worker count yields
+    the identical array.
     """
-    split = T >= _SPLIT_THRESHOLD
-    n_jobs = worker_count(workers)
-    if split:
-        span = 1 << (T // 2)
+    T = int(T)
+    if not 1 <= T <= BRUTE_FORCE_MAX_T:
+        raise ResourceLimitError(
+            f"brute force supports 1 <= T <= {BRUTE_FORCE_MAX_T}, got {T}"
+        )
+    n_chunks = _sweep_layout(T)[2]
+    n_jobs = min(worker_count(workers), n_chunks)
+    if n_jobs <= 1 or (1 << (T - 1)) < _POOL_MIN_STRINGS:
+        half = _sweep(coin0, coin1, T, 0, n_chunks)
     else:
-        span = 1 << T
-    if n_jobs <= 1 or span < 4 * n_jobs:
-        return _enumerate_worker((coin0, coin1, T, 0, span, split))
+        import multiprocessing
 
-    import multiprocessing
-
-    bounds = np.linspace(0, span, n_jobs + 1, dtype=int)
-    jobs = [
-        (np.asarray(coin0), np.asarray(coin1), T, int(lo), int(hi), split)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    with multiprocessing.Pool(len(jobs)) as pool:
-        parts = pool.map(_enumerate_worker, jobs)
-    return np.concatenate(parts)
+        bounds = np.linspace(0, n_chunks, n_jobs + 1).astype(int)
+        jobs = [
+            (np.asarray(coin0), np.asarray(coin1), T, int(lo), int(hi))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        with multiprocessing.Pool(n_jobs) as pool:
+            half = np.concatenate(pool.starmap(_sweep, jobs))
+    return np.concatenate([half, half])
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +265,6 @@ def brute_force(
     the observed maximum instead. Deterministic for any worker split.
     """
     T = int(T)
-    if not 1 <= T <= BRUTE_FORCE_MAX_T:
-        raise ResourceLimitError(
-            f"brute force supports 1 <= T <= {BRUTE_FORCE_MAX_T}, got {T}"
-        )
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
     if relative_to not in ("unity", "best"):
@@ -342,14 +342,12 @@ _STOP_COST = 1e-8
 _MIN_SIGMA = 1e-4
 
 
-def _anneal_cost(coin_cache: dict, gamma0: float, gamma1: float, bits: np.ndarray) -> float:
-    key = (round(gamma0, 15), round(gamma1, 15))
-    coins = coin_cache.get(key)
-    if coins is None:
-        coins = (rotation_coin(gamma0), rotation_coin(gamma1))
-        coin_cache[key] = coins
-    fid = _fidelities_from_blocks(_evolve_basis_batch(coins[0], coins[1], bits[None, :]))
-    return 1.0 - float(fid[0])
+def _angle_steps(g: list[float], T: int) -> np.ndarray:
+    return _su2_steps(rotation_coin(g[0]), rotation_coin(g[1]), 2 * T + 1)
+
+
+def _anneal_cost(steps: np.ndarray, bits: np.ndarray) -> float:
+    return 1.0 - float(_row_fidelities(steps, bits[None, :])[0])
 
 
 def _anneal_restart(
@@ -361,13 +359,13 @@ def _anneal_restart(
     rng: np.random.Generator,
     fixed_coins: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> AnnealResult:
-    if fixed_coins is not None:
-        coin_cache = {(round(gamma0, 15), round(gamma1, 15)): fixed_coins}
-    else:
-        coin_cache = {}
     bits = rng.integers(0, 2, T, dtype=np.int8)
     g = [float(gamma0), float(gamma1)]
-    cost = _anneal_cost(coin_cache, g[0], g[1], bits)
+    if fixed_coins is not None:
+        steps = _su2_steps(*fixed_coins, 2 * T + 1)
+    else:
+        steps = _angle_steps(g, T)
+    cost = _anneal_cost(steps, bits)
     best_bits, best_g, best_cost = bits.copy(), list(g), cost
 
     angle_moves = optimize_angles and config.angle_moves
@@ -379,22 +377,22 @@ def _anneal_restart(
     while temperature > floor and best_cost > _STOP_COST:
         sigma = max(config.angle_sigma * math.sqrt(temperature / config.initial_temperature), _MIN_SIGMA)
         for _ in range(config.steps_per_temperature):
-            cand_bits = bits
-            cand_g = g
+            cand_bits, cand_g, cand_steps = bits, g, steps
             if angle_moves and (not flip_moves or rng.random() < 0.5):
                 which = int(rng.integers(0, 2))
                 cand_g = list(g)
                 cand_g[which] = float(
                     np.clip(g[which] + sigma * rng.standard_normal(), 0.0, half_pi)
                 )
+                cand_steps = _angle_steps(cand_g, T)
             else:
                 flip = int(rng.integers(0, T))
                 cand_bits = bits.copy()
                 cand_bits[flip] ^= 1
-            cand_cost = _anneal_cost(coin_cache, cand_g[0], cand_g[1], cand_bits)
+            cand_cost = _anneal_cost(cand_steps, cand_bits)
             delta = cand_cost - cost
             if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
-                bits, g, cost = cand_bits, cand_g, cand_cost
+                bits, g, steps, cost = cand_bits, cand_g, cand_steps, cand_cost
                 if cost < best_cost:
                     best_bits, best_g, best_cost = bits.copy(), list(g), cost
                     if best_cost <= _STOP_COST:

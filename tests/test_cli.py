@@ -174,6 +174,12 @@ def test_exit_code_resource_guard(capsys):
     assert run_cli(capsys, "search", "landscape", "--T", "13")[0] == 3
 
 
+def test_resource_guard_message_and_brute_best(capsys):
+    assert main(["search", "brute", "--T", "30"]) == 3
+    assert capsys.readouterr().err == "error: brute force supports 1 <= T <= 24, got 30\n"
+    assert main(["simulate", "--T", "30", "--set", "H,X", "--bits", "brute-best"]) == 3
+
+
 def test_output_file_matches_stdout(tmp_path, capsys):
     path = tmp_path / "curve.csv"
     code, _ = run_cli(capsys, "fidelity-curve", "--T-range", "3:5", "--set", "H,I",

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from walkmeg import (
+    FOURIER,
     HADAMARD,
     IDENTITY,
+    PAULI_X,
     AnnealConfig,
     CoinSequence,
     ResourceLimitError,
@@ -22,6 +24,13 @@ from walkmeg import (
     worker_count,
 )
 from walkmeg.search import batch_fidelities
+
+SYMMETRY_SETS = {
+    "H,I": (HADAMARD, IDENTITY),
+    "H,X": (HADAMARD, PAULI_X),
+    "H,F": (HADAMARD, FOURIER),
+    "g:0.4,1.1": (rotation_coin(0.4), rotation_coin(1.1)),
+}
 
 OPTIMAL_ANGLE_PAIRS = (
     (0.0, math.pi / 4.0),
@@ -221,3 +230,62 @@ def test_rotation_angle_pair_equals_named_set():
     res_angles = brute_force(6, rotation_coin(math.pi / 4.0), rotation_coin(0.0))
     assert res_angles.best_fidelity == pytest.approx(res_named.best_fidelity, abs=1e-9)
     assert res_angles.count_optimal == res_named.count_optimal
+
+
+@pytest.fixture(scope="module")
+def sweep18():
+    return enumerate_fidelities(HADAMARD, IDENTITY, 18, workers=2)
+
+
+def test_brute_force_eighteen_steps_stays_in_range():
+    # the best fidelity is 1 to round-off and must not overshoot it
+    res = brute_force(18, HADAMARD, IDENTITY)
+    assert res.count_optimal == 620
+    assert res.best_fidelity <= 1.0
+
+
+@pytest.mark.parametrize("label", sorted(SYMMETRY_SETS))
+def test_first_coin_symmetry_to_round_off(label):
+    # the first coin acts before any shift, so flipping the leading bit
+    # leaves the fidelity unchanged; both halves are evaluated explicitly
+    coin0, coin1 = SYMMETRY_SETS[label]
+    T = 12
+    values = np.arange(1 << (T - 1))
+    rows = np.array([[int(ch) for ch in format(int(v), f"0{T - 1}b")] for v in values])
+    zero_led = np.hstack([np.zeros((rows.shape[0], 1), dtype=int), rows])
+    one_led = np.hstack([np.ones((rows.shape[0], 1), dtype=int), rows])
+    fid0 = batch_fidelities(coin0, coin1, zero_led)
+    fid1 = batch_fidelities(coin0, coin1, one_led)
+    assert np.max(np.abs(fid0 - fid1)) <= 1e-13
+
+
+def test_sweep_composition_matches_rows_at_eighteen(sweep18):
+    rng = np.random.default_rng(18)
+    picks = rng.integers(0, 1 << 18, 64)
+    rows = np.array([[int(ch) for ch in format(int(v), "018b")] for v in picks])
+    direct = batch_fidelities(HADAMARD, IDENTITY, rows)
+    np.testing.assert_allclose(sweep18[picks], direct, rtol=0.0, atol=1e-13)
+
+
+def test_sweep_worker_independent_at_eighteen(sweep18):
+    one = enumerate_fidelities(HADAMARD, IDENTITY, 18, workers=1)
+    assert one.tobytes() == sweep18.tobytes()
+
+
+def test_small_sweeps_start_no_pool(monkeypatch):
+    import multiprocessing
+
+    expected = enumerate_fidelities(HADAMARD, IDENTITY, 12, workers=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2^12 sweep must not start a pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    got = enumerate_fidelities(HADAMARD, IDENTITY, 12, workers=2)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_enumeration_guards_its_length():
+    for T in (0, 25):
+        with pytest.raises(ResourceLimitError, match="brute force supports"):
+            enumerate_fidelities(HADAMARD, IDENTITY, T)
