@@ -2,11 +2,15 @@
 
 Running a coin sequence and tracing out the walker defines a qubit channel
 on the coin. This module reconstructs that channel's Pauli transfer matrix
-from the four tomography inputs |H>, |V>, |+>, |L>, converts it to the
-process (chi) matrix in the Pauli basis, and scores it against the fully
-depolarizing channel with the Uhlmann process fidelity. Unit fidelity
-against the depolarizing target certifies maximal walker-coin entanglement
-for every initial coin state.
+from the four tomography inputs |H>, |V>, |+>, |L> (bloch_image maps
+sphere samples through it), converts it to the process (chi) matrix in the
+Pauli basis, and scores it against the fully depolarizing channel with the
+Uhlmann process fidelity. Unit fidelity against the depolarizing target
+certifies maximal walker-coin entanglement for every initial coin state.
+
+That tomography chain is the test oracle: the square roots of chi
+eigenvalues leave a ~1e-8 noise floor. sequence_fidelity scores on the
+exact kernel of the search module instead.
 
 Conventions: Pauli order (1, sigma_x, sigma_y, sigma_z); the chi matrix is
 normalized to trace 1 so the identity channel is diag(1, 0, 0, 0); the PTM
@@ -20,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .search import batch_fidelities
 from .sphere import fibonacci_sphere
 from .walk import CoinSequence, InitialCoinState, evolve, reduced_coin_state
 
@@ -186,9 +191,11 @@ def sequence_fidelity(seq: CoinSequence) -> float:
     """Process fidelity of the sequence channel against full depolarizing.
 
     Equals 1 exactly when the sequence generates maximal walker-coin
-    entanglement for every initial coin state.
+    entanglement for every initial coin state. One row of the search
+    kernel, clamped to 1, with round-off near 1e-15.
     """
-    return process_fidelity(ptm_to_chi(coin_channel_ptm(seq)), depolarizing_chi(1.0))
+    bits = [[int(b) for b in seq.bits]]
+    return float(batch_fidelities(seq.coin0, seq.coin1, bits)[0])
 
 
 @dataclass(frozen=True)

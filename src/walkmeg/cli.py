@@ -38,11 +38,14 @@ from .momentum import (
     SequencePattern,
     fourier_table_sequence,
     generate_table_sequence,
+    iter_family_bits,
     pattern_bits,
+    pattern_from_bits,
     theorem_predicate,
 )
 from .results import ResultTable, format_float
 from .search import (
+    BRUTE_FORCE_MAX_T,
     AnnealConfig,
     ResourceLimitError,
     anneal,
@@ -63,6 +66,14 @@ __all__ = ["main"]
 
 _VERIFY_MAX_T = 12
 _COUNT_TOLERANCES = (1e-6, 1e-9, 1e-12)
+
+# Resource guards: a larger request exits with code 3 before any work.
+SIMULATE_MAX_T = 1000  # T rows of 2T+5 columns
+FIDELITY_CURVE_MAX_T = BRUTE_FORCE_MAX_T  # a curve point may need the exhaustive best
+ANNEAL_MAX_T = 24  # up to 540k proposals (10 restarts), each O(T^2)
+LANDSCAPE_MAX_GRID = 33  # grid^2 sweeps; 33 refines the default 17 by halving the step
+VERIFY_PATTERN_MAX_T = 4096
+BLOCH_MAX_SAMPLES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +192,11 @@ def _parse_init(spec: str) -> InitialCoinState:
     return InitialCoinState.named(text)
 
 
+def _guard(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ResourceLimitError(f"{what} is limited to {limit}, got {value}")
+
+
 def _parse_T(raw: str, minimum: int = 1) -> int:
     T = int(raw)
     if T < minimum:
@@ -255,6 +271,7 @@ def _common_tokens(ns) -> list[str]:
 
 def _cmd_simulate(ns) -> tuple[ResultTable, int]:
     T = _parse_T(ns.T)
+    _guard("simulate --T", T, SIMULATE_MAX_T)
     coin0, coin1, label = _parse_set(ns.set)
     bits = _resolve_bits(ns.bits, T, coin0, coin1, label)
     init = _parse_init(ns.init)
@@ -285,6 +302,7 @@ def _cmd_simulate(ns) -> tuple[ResultTable, int]:
 
 def _cmd_fidelity_curve(ns) -> tuple[ResultTable, int]:
     lo, hi = _parse_T_range(ns.T_range)
+    _guard("fidelity-curve --T-range", hi, FIDELITY_CURVE_MAX_T)
     coin0, coin1, label = _parse_set(ns.set)
     tokens = ["fidelity-curve", "--T-range", ns.T_range, "--set", ns.set,
               "--bits", ns.bits] + _common_tokens(ns)
@@ -326,6 +344,7 @@ def _cmd_search(ns) -> tuple[ResultTable, int]:
         return table, 0
 
     if ns.mode == "anneal":
+        _guard("search anneal --T", T, ANNEAL_MAX_T)
         config = AnnealConfig(seed=int(ns.seed))
         metadata["restarts"] = config.restarts
         if ns.set is None:
@@ -333,16 +352,7 @@ def _cmd_search(ns) -> tuple[ResultTable, int]:
             label = f"g:{format_float(result.gamma0)},{format_float(result.gamma1)}"
         else:
             coin0, coin1, label = _parse_set(ns.set)
-            if ns.set.strip().lower().startswith("g:"):
-                result = anneal(
-                    T,
-                    config,
-                    optimize_angles=False,
-                    gamma0=float(ns.set.strip()[2:].split(",")[0]),
-                    gamma1=float(ns.set.strip()[2:].split(",")[1]),
-                )
-            else:
-                result = anneal(T, config, optimize_angles=False, coins=(coin0, coin1))
+            result = anneal(T, config, optimize_angles=False, coins=(coin0, coin1))
         table = ResultTable(("set", "bits", "fidelity"), metadata=metadata)
         table.append(label, result.bits, result.fidelity)
         return table, 0
@@ -351,6 +361,7 @@ def _cmd_search(ns) -> tuple[ResultTable, int]:
     grid_n = int(ns.grid)
     if grid_n < 2:
         raise ValueError("--grid must be >= 2")
+    _guard("search landscape --grid", grid_n, LANDSCAPE_MAX_GRID)
     metadata["grid"] = grid_n
     angles = [float(g) for g in np.linspace(0.0, math.pi / 2.0, grid_n)]
     points = landscape_scan(T, angles)
@@ -358,17 +369,6 @@ def _cmd_search(ns) -> tuple[ResultTable, int]:
     for point in points:
         table.append(point.gamma0, point.gamma1, point.best_fidelity)
     return table, 0
-
-
-def _verify_patterns(max_T: int):
-    """All run-length patterns with total length <= max_T, shortest first."""
-    for T in range(1, max_T + 1):
-        for l1 in range(T):
-            yield (l1, T - 1 - l1)
-    for T in range(2, max_T + 1):
-        for l1 in range(T - 1):
-            for l2 in range(T - 1 - l1):
-                yield (l1, l2, T - 2 - l1 - l2)
 
 
 def _cmd_verify(ns) -> tuple[ResultTable, int]:
@@ -382,27 +382,26 @@ def _cmd_verify(ns) -> tuple[ResultTable, int]:
     metadata = _metadata(tokens, ns.seed)
 
     if ns.pattern is not None:
-        patterns = [tuple(int(v) for v in ns.pattern.split(","))]
+        patterns = [SequencePattern(tuple(int(v) for v in ns.pattern.split(",")))]
+        _guard("verify --pattern length", patterns[0].T, VERIFY_PATTERN_MAX_T)
     else:
         max_T = int(ns.max_T)
         if not 1 <= max_T <= _VERIFY_MAX_T:
             raise ValueError(
                 f"--max-T must lie in [1, {_VERIFY_MAX_T}] for the exhaustive check"
             )
-        patterns = list(_verify_patterns(max_T))
+        patterns = [pattern_from_bits(bits) for bits in iter_family_bits(max_T)]
 
     hadamard = named_coin("H")
     identity = named_coin("I")
     table = ResultTable(("pattern", "predicate", "fidelity", "agree"), metadata=metadata)
     offenders = []
-    for ls in patterns:
-        pattern = SequencePattern(ls)
+    for pattern in patterns:
         predicted = theorem_predicate(pattern)
-        bits = pattern_bits(pattern)
-        fidelity = sequence_fidelity(CoinSequence(hadamard, identity, bits))
+        fidelity = sequence_fidelity(CoinSequence(hadamard, identity, pattern_bits(pattern)))
         measured = fidelity > 1.0 - tolerance
         agree = predicted == measured
-        text = ",".join(str(v) for v in ls)
+        text = ",".join(str(v) for v in pattern.ls)
         table.append(text, "true" if predicted else "false", fidelity,
                      "true" if agree else "false")
         if not agree:
@@ -424,6 +423,7 @@ def _cmd_bloch(ns) -> tuple[ResultTable, int]:
     n_samples = int(ns.ensemble)
     if n_samples < 1:
         raise ValueError("--ensemble must be >= 1")
+    _guard("bloch --ensemble", n_samples, BLOCH_MAX_SAMPLES)
     tokens = ["bloch", "--T", ns.T, "--set", ns.set, "--bits", ns.bits,
               "--ensemble", ns.ensemble] + _common_tokens(ns)
     metadata = _metadata(tokens, ns.seed)

@@ -14,15 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sphere import sphere_angles
+from .channel import bloch_image
 from .walk import (
     CoinSequence,
     InitialCoinState,
     ProbabilityDistribution,
-    evolve,
     initial_state,
     position_distribution,
-    reduced_coin_state,
     step,
 )
 
@@ -79,16 +77,16 @@ class EnsembleStatistics:
 
 
 def ensemble_entropies(seq: CoinSequence, ensemble_size: int = DEFAULT_ENSEMBLE) -> np.ndarray:
-    """Final-state entanglement entropy for each sphere-lattice initial state."""
-    ensemble_size = int(ensemble_size)
-    if ensemble_size < 1:
-        raise ValueError("ensemble size must be >= 1")
-    thetas, phis = sphere_angles(ensemble_size)
-    out = np.empty(ensemble_size)
-    for i in range(ensemble_size):
-        state = evolve(InitialCoinState(float(thetas[i]), float(phis[i])), seq)
-        out[i] = entanglement_entropy(reduced_coin_state(state))
-    return out
+    """Final-state entanglement entropy for each sphere-lattice initial state.
+
+    The joint walker-coin state stays pure, so the entropy is the binary
+    entropy h((1 + r)/2) of the reduced coin state, where r is the length
+    of its Bloch vector: the lattice's image under the channel's PTM.
+    """
+    r = np.minimum(np.linalg.norm(bloch_image(seq, ensemble_size).outputs, axis=1), 1.0)
+    lam = np.stack([(1.0 + r) / 2.0, (1.0 - r) / 2.0])
+    terms = lam * np.log2(np.where(lam > 0.0, lam, 1.0))  # 0 log 0 = 0
+    return np.clip(-terms.sum(axis=0), 0.0, 1.0)
 
 
 def average_entanglement(

@@ -3,8 +3,9 @@
 Exhaustive search over all 2^T bit strings, simulated annealing over
 (gamma0, gamma1, bits), and the coin-angle landscape scan all score a
 string by its process fidelity against the fully depolarizing target,
-computed by one momentum-space kernel. It is algebraically identical to
-the tomography route in the channel module; tests assert the equality.
+computed by one momentum-space kernel, which also serves
+channel.sequence_fidelity. It is algebraically identical to the
+tomography route in the channel module; tests assert the equality.
 
 Exact grid. With the shift S(k) = diag(e^{-ik}, e^{ik}) the walk is
 U(k) = S C_{b_T} ... S C_{b_1}, whose x-th Fourier coefficient is the

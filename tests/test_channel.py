@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from walkmeg import (
+    FOURIER,
     HADAMARD,
     IDENTITY,
+    PAULI_X,
     CoinSequence,
     InitialCoinState,
     NotCompletelyPositiveError,
@@ -21,6 +23,7 @@ from walkmeg import (
     process_fidelity,
     ptm_to_chi,
     reduced_coin_state,
+    rotation_coin,
     sequence_fidelity,
     validate_chi,
 )
@@ -138,6 +141,38 @@ def test_sequence_fidelity_is_the_pinned_composition():
     seq = CoinSequence(HADAMARD, IDENTITY, "0011")
     expected = process_fidelity(ptm_to_chi(coin_channel_ptm(seq)), depolarizing_chi(1.0))
     assert sequence_fidelity(seq) == expected
+
+
+SCORED_SETS = {
+    "H,I": (HADAMARD, IDENTITY),
+    "H,X": (HADAMARD, PAULI_X),
+    "H,F": (HADAMARD, FOURIER),
+    "g:0.4,1.1": (rotation_coin(0.4), rotation_coin(1.1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCORED_SETS))
+def test_sequence_fidelity_first_coin_symmetry(name):
+    # the first coin is a unitary on the input coin, which the
+    # depolarizing target cannot see: F(0s) = F(1s) to round-off
+    coin0, coin1 = SCORED_SETS[name]
+    rng = np.random.default_rng(12)
+    for value in rng.choice(1 << 11, size=128, replace=False):
+        tail = format(int(value), "011b")
+        f0 = sequence_fidelity(CoinSequence(coin0, coin1, "0" + tail))
+        f1 = sequence_fidelity(CoinSequence(coin0, coin1, "1" + tail))
+        assert abs(f0 - f1) <= 1e-13, tail
+
+
+@pytest.mark.parametrize("name", sorted(SCORED_SETS))
+def test_sequence_fidelity_matches_tomography_chain(name):
+    # the chain's square roots of chi eigenvalues leave a ~2e-8 floor
+    coin0, coin1 = SCORED_SETS[name]
+    for T in range(1, 8):
+        for value in range(1 << T):
+            seq = CoinSequence(coin0, coin1, format(value, f"0{T}b"))
+            chain = process_fidelity(ptm_to_chi(coin_channel_ptm(seq)), depolarizing_chi(1.0))
+            assert abs(sequence_fidelity(seq) - chain) <= 5e-8, seq.bits
 
 
 def test_bloch_image_collapses_for_optimal_sequence():

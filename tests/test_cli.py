@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from walkmeg import cli
 from walkmeg.cli import main
 from walkmeg.results import parse_table
 
@@ -178,6 +179,42 @@ def test_resource_guard_message_and_brute_best(capsys):
     assert main(["search", "brute", "--T", "30"]) == 3
     assert capsys.readouterr().err == "error: brute force supports 1 <= T <= 24, got 30\n"
     assert main(["simulate", "--T", "30", "--set", "H,X", "--bits", "brute-best"]) == 3
+
+
+# one oversized request per guard: (argv, what the error names, limit, request)
+GUARDED = {
+    "simulate": (["simulate", "--T", str(cli.SIMULATE_MAX_T + 1)],
+                 "simulate --T", cli.SIMULATE_MAX_T, cli.SIMULATE_MAX_T + 1),
+    "anneal": (["search", "anneal", "--T", "2000", "--set", "H,I"],
+               "search anneal --T", cli.ANNEAL_MAX_T, 2000),
+    "ensemble": (["bloch", "--T", "0", "--ensemble", str(cli.BLOCH_MAX_SAMPLES + 1)],
+                 "bloch --ensemble", cli.BLOCH_MAX_SAMPLES, cli.BLOCH_MAX_SAMPLES + 1),
+    "grid": (["search", "landscape", "--T", "3", "--grid", str(cli.LANDSCAPE_MAX_GRID + 1)],
+             "search landscape --grid", cli.LANDSCAPE_MAX_GRID, cli.LANDSCAPE_MAX_GRID + 1),
+    "T-range": (["fidelity-curve", "--T-range", f"2:{cli.FIDELITY_CURVE_MAX_T + 1}"],
+                "fidelity-curve --T-range", cli.FIDELITY_CURVE_MAX_T,
+                cli.FIDELITY_CURVE_MAX_T + 1),
+    "pattern": (["verify", "--pattern", f"{cli.VERIFY_PATTERN_MAX_T},0"],
+                "verify --pattern length", cli.VERIFY_PATTERN_MAX_T,
+                cli.VERIFY_PATTERN_MAX_T + 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_resource_guard_refuses_oversized_input(name, capsys):
+    argv, what, limit, request = GUARDED[name]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {what} is limited to {limit}, got {request}\n"
+
+
+def test_resource_limits_admit_documented_runs():
+    assert cli.SIMULATE_MAX_T >= 200
+    assert cli.ANNEAL_MAX_T >= 12
+    assert cli.BLOCH_MAX_SAMPLES >= 296
+    assert cli.LANDSCAPE_MAX_GRID >= 17
+    assert cli.FIDELITY_CURVE_MAX_T >= 12
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

@@ -9,17 +9,22 @@ from walkmeg import (
     DEFAULT_ENSEMBLE,
     HADAMARD,
     IDENTITY,
+    CoinParameters,
     CoinSequence,
     InitialCoinState,
     MomentSeries,
     ProbabilityDistribution,
     average_entanglement,
+    build_coin,
     ensemble_entropies,
     entanglement_entropy,
+    evolve,
     fit_diffusion_exponent,
     generate_table_sequence,
+    reduced_coin_state,
     second_moment,
     shannon_entropy,
+    sphere_angles,
     walk_moment_series,
 )
 
@@ -78,6 +83,30 @@ def test_ensemble_entropies_spread_for_suboptimal_sequence():
     values = ensemble_entropies(CoinSequence(HADAMARD, IDENTITY, "11"), 64)
     assert values.min() < 0.7
     assert values.std() > 0.05
+
+
+def test_ensemble_entropies_match_per_state_evolution():
+    # the PTM route against evolving every lattice state, for random
+    # three-angle coin pairs and strings (mostly suboptimal) plus one
+    # optimal and one suboptimal {H, 1} string
+    rng = np.random.default_rng(2209)
+    cases = [CoinSequence(HADAMARD, IDENTITY, "0010111"), CoinSequence(HADAMARD, IDENTITY, "11")]
+    for _ in range(10):
+        coin0, coin1 = (build_coin(CoinParameters(*rng.uniform(0.0, 2.0 * math.pi, 3)))
+                        for _ in range(2))
+        T = int(rng.integers(1, 11))
+        cases.append(CoinSequence(coin0, coin1, "".join(rng.choice(["0", "1"], T))))
+    thetas, phis = sphere_angles(DEFAULT_ENSEMBLE)
+    spread = []
+    for seq in cases:
+        expected = [
+            entanglement_entropy(reduced_coin_state(evolve(InitialCoinState(float(t), float(p)), seq)))
+            for t, p in zip(thetas, phis)
+        ]
+        values = ensemble_entropies(seq)
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
+        spread.append(values.max() - values.min())
+    assert spread[0] < 1e-9 and min(spread[1:]) > 0.01
 
 
 def test_fit_recovers_exact_power_laws():
