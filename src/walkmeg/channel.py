@@ -26,7 +26,13 @@ import numpy as np
 
 from .search import batch_fidelities
 from .sphere import fibonacci_sphere
-from .walk import CoinSequence, InitialCoinState, evolve, reduced_coin_state
+from .walk import (
+    TOMOGRAPHY_INPUT_NAMES,
+    CoinSequence,
+    InitialCoinState,
+    evolve,
+    reduced_coin_state,
+)
 
 __all__ = [
     "NotCompletelyPositiveError",
@@ -60,12 +66,7 @@ def _pauli_stack() -> np.ndarray:
 PAULIS = _pauli_stack()
 
 # Tomography inputs |H>, |V>, |+>, |L> and their Bloch vectors.
-_TOMO_STATES = (
-    InitialCoinState.named("H"),
-    InitialCoinState.named("V"),
-    InitialCoinState.named("+"),
-    InitialCoinState.named("L"),
-)
+_TOMO_STATES = tuple(InitialCoinState.named(name) for name in TOMOGRAPHY_INPUT_NAMES)
 _TOMO_AFFINE = np.array(
     [
         [1.0, 1.0, 1.0, 1.0],

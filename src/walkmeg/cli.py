@@ -348,11 +348,11 @@ def _cmd_search(ns) -> tuple[ResultTable, int]:
         config = AnnealConfig(seed=int(ns.seed))
         metadata["restarts"] = config.restarts
         if ns.set is None:
-            result = anneal(T, config, optimize_angles=True)
+            result = anneal(T, config)
             label = f"g:{format_float(result.gamma0)},{format_float(result.gamma1)}"
         else:
             coin0, coin1, label = _parse_set(ns.set)
-            result = anneal(T, config, optimize_angles=False, coins=(coin0, coin1))
+            result = anneal(T, config, coins=(coin0, coin1))
         table = ResultTable(("set", "bits", "fidelity"), metadata=metadata)
         table.append(label, result.bits, result.fidelity)
         return table, 0

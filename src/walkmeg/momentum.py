@@ -90,6 +90,10 @@ class AffineBlochVector:
         )
 
 
+# kind -> index of the superoperator in the pair _grid_superoperators returns
+_SUPEROPERATOR_KEYS = {"H": 0, "L_H": 0, "I": 1, "1": 1, "L_I": 1}
+
+
 def superoperator_at(kind: str, k: float) -> np.ndarray:
     """The one-step superoperator L^H(k) or L^1(k) as a 4x4 real matrix.
 
@@ -98,28 +102,10 @@ def superoperator_at(kind: str, k: float) -> np.ndarray:
     """
     if not math.isfinite(k):
         raise ValueError("momentum k must be finite")
-    c = math.cos(2.0 * k)
-    s = math.sin(2.0 * k)
-    key = str(kind).strip().upper()
-    if key in ("H", "L_H"):
-        return np.array(
-            [
-                [1.0, 0.0, 0.0, 0.0],
-                [0.0, 0.0, s, c],
-                [0.0, 0.0, -c, s],
-                [0.0, 1.0, 0.0, 0.0],
-            ]
-        )
-    if key in ("I", "1", "L_I"):
-        return np.array(
-            [
-                [1.0, 0.0, 0.0, 0.0],
-                [0.0, c, -s, 0.0],
-                [0.0, s, c, 0.0],
-                [0.0, 0.0, 0.0, 1.0],
-            ]
-        )
-    raise ValueError(f"unknown superoperator kind {kind!r}; expected 'H' or 'I'")
+    which = _SUPEROPERATOR_KEYS.get(str(kind).strip().upper())
+    if which is None:
+        raise ValueError(f"unknown superoperator kind {kind!r}; expected 'H' or 'I'")
+    return _grid_superoperators(np.array([float(k)]))[which][0]
 
 
 def _grid_superoperators(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

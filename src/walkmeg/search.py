@@ -114,12 +114,10 @@ def _su2_steps(coin0: np.ndarray, coin1: np.ndarray, n: int) -> np.ndarray:
     """Both walk steps on the n-point momentum grid, as left multiplications.
 
     Step b is S(k) C_b / sqrt(det C_b); the result has shape (2, n, 4, 4),
-    indexed by (coin bit, momentum, row, column).
+    indexed by (coin bit, momentum, row, column). The coins must already
+    be validated: the public entry points check them once.
     """
-    first_rows = []
-    for coin in (coin0, coin1):
-        c = require_coin(coin)
-        first_rows.append(c[0] / cmath.sqrt(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]))
+    first_rows = [c[0] / cmath.sqrt(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]) for c in (coin0, coin1)]
     phase = np.exp(-2j * np.pi * np.arange(n) / n)
     # complex pairs (a, b) viewed as the reals (Re a, Im a, Re b, Im b)
     return _left_mul((np.array(first_rows)[:, None, :] * phase[:, None]).view(np.float64))
@@ -155,6 +153,7 @@ def _bits_matrix(values: np.ndarray, T: int) -> np.ndarray:
 
 def batch_fidelities(coin0: np.ndarray, coin1: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Fidelity against the depolarizing target for each bit row."""
+    coin0, coin1 = require_coin(coin0), require_coin(coin1)
     bits = np.asarray(bits, dtype=np.intp)
     if bits.ndim != 2:
         raise ValueError("bits must be a 2d array of 0/1 rows")
@@ -214,6 +213,7 @@ def enumerate_fidelities(
         raise ResourceLimitError(
             f"brute force supports 1 <= T <= {BRUTE_FORCE_MAX_T}, got {T}"
         )
+    coin0, coin1 = require_coin(coin0), require_coin(coin1)
     n_chunks = _sweep_layout(T)[2]
     n_jobs = min(worker_count(workers), n_chunks)
     if n_jobs <= 1 or (1 << (T - 1)) < _POOL_MIN_STRINGS:
@@ -223,7 +223,7 @@ def enumerate_fidelities(
 
         bounds = np.linspace(0, n_chunks, n_jobs + 1).astype(int)
         jobs = [
-            (np.asarray(coin0), np.asarray(coin1), T, int(lo), int(hi))
+            (coin0, coin1, T, int(lo), int(hi))
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         with multiprocessing.Pool(n_jobs) as pool:
@@ -300,35 +300,20 @@ def optimal_counts(
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    """Schedule and move set for the annealing search.
+    """Schedule length, restart count and seed of the annealing search.
 
-    Geometric cooling: temperature starts at initial_temperature, is
-    multiplied by cooling_rate after steps_per_temperature proposals, and
-    the restart stops at the relative temperature floor. Angle proposals
-    are Gaussian with a deviation that shrinks with the temperature;
-    bit proposals flip one position. The seed fixes every stream.
+    Geometric cooling: temperature starts at 0.2, is multiplied by 0.95
+    after steps_per_temperature proposals, and the restart stops at the
+    relative temperature floor. The seed fixes every stream.
     """
 
-    initial_temperature: float = 0.2
-    cooling_rate: float = 0.95
     steps_per_temperature: int = 200
     restarts: int = 10
     seed: int = 0
-    flip_moves: bool = True
-    angle_moves: bool = True
-    angle_sigma: float = 0.4
 
     def __post_init__(self):
-        if not self.initial_temperature > 0.0:
-            raise ValueError("initial_temperature must be positive")
-        if not 0.0 < self.cooling_rate < 1.0:
-            raise ValueError("cooling_rate must lie in (0, 1)")
         if self.steps_per_temperature < 1 or self.restarts < 1:
             raise ValueError("steps_per_temperature and restarts must be >= 1")
-        if not self.flip_moves and not self.angle_moves:
-            raise ValueError("at least one move type must be enabled")
-        if not self.angle_sigma > 0.0:
-            raise ValueError("angle_sigma must be positive")
 
 
 class AnnealResult(NamedTuple):
@@ -338,6 +323,10 @@ class AnnealResult(NamedTuple):
     fidelity: float
 
 
+_START_ANGLES = (math.pi / 4.0, 0.0)  # (gamma0, gamma1) of every free-angle restart
+_INITIAL_TEMPERATURE = 0.2
+_COOLING_RATE = 0.95
+_ANGLE_SIGMA = 0.4  # angle step deviation at the initial temperature
 _TEMPERATURE_FLOOR = 1e-6  # relative to the initial temperature
 _STOP_COST = 1e-8
 _MIN_SIGMA = 1e-4
@@ -354,32 +343,25 @@ def _anneal_cost(steps: np.ndarray, bits: np.ndarray) -> float:
 def _anneal_restart(
     T: int,
     config: AnnealConfig,
-    optimize_angles: bool,
-    gamma0: float,
-    gamma1: float,
     rng: np.random.Generator,
-    fixed_coins: tuple[np.ndarray, np.ndarray] | None = None,
+    coins: tuple[np.ndarray, np.ndarray] | None,
 ) -> AnnealResult:
     bits = rng.integers(0, 2, T, dtype=np.int8)
-    g = [float(gamma0), float(gamma1)]
-    if fixed_coins is not None:
-        steps = _su2_steps(*fixed_coins, 2 * T + 1)
-    else:
-        steps = _angle_steps(g, T)
+    g = list(_START_ANGLES)
+    steps = _angle_steps(g, T) if coins is None else _su2_steps(*coins, 2 * T + 1)
     cost = _anneal_cost(steps, bits)
     best_bits, best_g, best_cost = bits.copy(), list(g), cost
-
-    angle_moves = optimize_angles and config.angle_moves
-    flip_moves = config.flip_moves or not angle_moves
-    temperature = config.initial_temperature
-    floor = config.initial_temperature * _TEMPERATURE_FLOOR
+    # With equal steps every string walks alike, so no flip can lower the cost.
+    same_walk = coins is not None and np.array_equal(steps[0], steps[1])
+    temperature = _INITIAL_TEMPERATURE
+    floor = _INITIAL_TEMPERATURE * _TEMPERATURE_FLOOR
     half_pi = math.pi / 2.0
 
-    while temperature > floor and best_cost > _STOP_COST:
-        sigma = max(config.angle_sigma * math.sqrt(temperature / config.initial_temperature), _MIN_SIGMA)
+    while not same_walk and temperature > floor and best_cost > _STOP_COST:
+        sigma = max(_ANGLE_SIGMA * math.sqrt(temperature / _INITIAL_TEMPERATURE), _MIN_SIGMA)
         for _ in range(config.steps_per_temperature):
             cand_bits, cand_g, cand_steps = bits, g, steps
-            if angle_moves and (not flip_moves or rng.random() < 0.5):
+            if coins is None and rng.random() < 0.5:
                 which = int(rng.integers(0, 2))
                 cand_g = list(g)
                 cand_g[which] = float(
@@ -398,7 +380,7 @@ def _anneal_restart(
                     best_bits, best_g, best_cost = bits.copy(), list(g), cost
                     if best_cost <= _STOP_COST:
                         break
-        temperature *= config.cooling_rate
+        temperature *= _COOLING_RATE
 
     return AnnealResult(
         gamma0=best_g[0],
@@ -411,40 +393,27 @@ def _anneal_restart(
 def anneal(
     T: int,
     config: AnnealConfig,
-    optimize_angles: bool = True,
-    gamma0: float = math.pi / 4.0,
-    gamma1: float = 0.0,
     coins: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> AnnealResult:
-    """Minimize 1 - fidelity over (gamma0, gamma1, bits) by annealing.
+    """Minimize 1 - fidelity by annealing over bits, and angles unless coins are given.
 
+    With coins=None the angles start at (pi/4, 0) and each proposal flips
+    one bit or nudges one angle. With a coin pair only bits are flipped,
+    and the reported angles are the unused start angles; this covers
+    named coins outside the one-parameter family, like the identity.
     Runs config.restarts independent restarts from rng streams spawned off
     the single seed and returns the best result; ties break toward the
-    earliest restart, so the outcome is reproducible. When optimize_angles
-    is false the angles stay fixed at (gamma0, gamma1) and only bit flips
-    are proposed. Passing an explicit coin pair also fixes the coins (the
-    reported angles are then just the inputs echoed back); this covers
-    named coins outside the one-parameter family, like the identity.
+    earliest restart, so the outcome is reproducible.
     """
     T = int(T)
     if T < 1:
         raise ValueError("T must be >= 1")
     if coins is not None:
-        if optimize_angles:
-            raise ValueError("cannot optimize angles with explicit coins")
-        coins = (np.asarray(coins[0]), np.asarray(coins[1]))
+        coins = (require_coin(coins[0]), require_coin(coins[1]))
     streams = np.random.SeedSequence(config.seed).spawn(config.restarts)
     best: AnnealResult | None = None
     for stream in streams:
-        result = _anneal_restart(
-            T,
-            config,
-            optimize_angles,
-            gamma0,
-            gamma1,
-            np.random.default_rng(stream),
-            fixed_coins=coins,
-        )
+        result = _anneal_restart(T, config, np.random.default_rng(stream), coins)
         if best is None or result.fidelity > best.fidelity:
             best = result
     return best
