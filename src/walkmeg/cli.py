@@ -17,6 +17,7 @@ be reproduced byte for byte by re-running the echoed command. Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import shlex
 import sys
@@ -49,6 +50,7 @@ from .search import (
     AnnealConfig,
     ResourceLimitError,
     anneal,
+    batch_fidelities,
     enumerate_fidelities,
     landscape_scan,
 )
@@ -392,13 +394,16 @@ def _cmd_verify(ns) -> tuple[ResultTable, int]:
             )
         patterns = [pattern_from_bits(bits) for bits in iter_family_bits(max_T)]
 
-    hadamard = named_coin("H")
-    identity = named_coin("I")
+    # one kernel call per length; the patterns come in ascending length
+    hadamard, identity = named_coin("H"), named_coin("I")
+    fidelities = []
+    for _, group in itertools.groupby(map(pattern_bits, patterns), key=len):
+        rows = [[int(b) for b in bits] for bits in group]
+        fidelities.extend(batch_fidelities(hadamard, identity, rows).tolist())
     table = ResultTable(("pattern", "predicate", "fidelity", "agree"), metadata=metadata)
     offenders = []
-    for pattern in patterns:
+    for pattern, fidelity in zip(patterns, fidelities):
         predicted = theorem_predicate(pattern)
-        fidelity = sequence_fidelity(CoinSequence(hadamard, identity, pattern_bits(pattern)))
         measured = fidelity > 1.0 - tolerance
         agree = predicted == measured
         text = ",".join(str(v) for v in pattern.ls)

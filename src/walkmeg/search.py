@@ -21,10 +21,15 @@ the Pauli-coefficient matrix of the walk is that phase times the unitary
 diag(1, i, i, i) times the real 4 x n quaternion matrix A (rows permuted).
 
 Nuclear norm. The channel's chi matrix is unitarily similar to A A^T / n
-and the target's is 1/4, so F = (tr sqrt(chi))^2 / 4 = ||A||_*^2 / (4n). The
-singular values come straight from A, never as square roots of Gram
-eigenvalues (which leave a ~1e-8 floor), so round-off stays near 1e-15.
-F is clamped to 1.
+and the target's is 1/4, so F = (tr sqrt(chi))^2 / 4 = ||A||_*^2 / (4n),
+clamped to 1. A stack of strings is scored from the eigenvectors V of
+each 4x4 Gram matrix A^T A, one batched eigh call, and sigma_j = ||A v_j||;
+a single string or a small stack takes its singular values from the SVD,
+which the tests keep as the reference. The Gram eigenvalues are thrown
+away: the square root of a near-zero one turns its ~1e-16 round-off into
+a ~1e-8 floor. ||A v_j|| errs only by the eigenvector error times ||A||,
+and sum_j ||A v_j|| >= ||A||_* for every orthonormal V, with equality at
+exact eigenvectors, so round-off stays near 1e-15 on both routes.
 
 First-coin symmetry. The first coin acts on the walker at the origin
 before any shift: a unitary on the input coin, to which the target's
@@ -67,7 +72,15 @@ __all__ = [
 BRUTE_FORCE_MAX_T = 24
 LANDSCAPE_MAX_T = 12
 
-_CHUNK = 1 << 10  # strings scored per batched matmul and SVD call
+# Strings scored per batched matmul and eigensolver call. On one worker at
+# T=18, 1 << 13 took 0.46 s of CPU instead of 0.37 s and raised the peak
+# RSS from ~40 to ~75 MiB.
+_CHUNK = 1 << 10
+# Stacks of at least this many matrices take the Gram route. One eigh
+# call costs more to start than one SVD call but less per matrix: with
+# n = 9..37 momenta one matrix costs ~8 us by SVD and ~13 us by Gram, the
+# two tie at 8..12 matrices, and 16 cost 50..59 us against 47..53 us.
+_GRAM_MIN_STACK = 16
 # Sweeps of fewer strings run serially. Measured on 2 CPUs: a pool costs
 # ~25 ms of wall time and ~40 ms of CPU to start, and 2^14 strings take
 # ~0.12 s serially, which two workers bring down to ~0.08 s.
@@ -110,14 +123,15 @@ def _left_mul(q: np.ndarray) -> np.ndarray:
     return q[..., _LEFT_INDEX] * _LEFT_SIGN
 
 
-def _su2_steps(coin0: np.ndarray, coin1: np.ndarray, n: int) -> np.ndarray:
-    """Both walk steps on the n-point momentum grid, as left multiplications.
+def _su2_steps(coins, n: int) -> np.ndarray:
+    """The walk step of each coin on the n-point momentum grid, as left multiplications.
 
-    Step b is S(k) C_b / sqrt(det C_b); the result has shape (2, n, 4, 4),
-    indexed by (coin bit, momentum, row, column). The coins must already
-    be validated: the public entry points check them once.
+    Step b is S(k) C_b / sqrt(det C_b); the result has shape (len(coins),
+    n, 4, 4), indexed by (coin bit, momentum, row, column). Each coin's
+    step is computed on its own. The coins must already be validated:
+    the public entry points check them once.
     """
-    first_rows = [c[0] / cmath.sqrt(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]) for c in (coin0, coin1)]
+    first_rows = [c[0] / cmath.sqrt(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]) for c in coins]
     phase = np.exp(-2j * np.pi * np.arange(n) / n)
     # complex pairs (a, b) viewed as the reals (Re a, Im a, Re b, Im b)
     return _left_mul((np.array(first_rows)[:, None, :] * phase[:, None]).view(np.float64))
@@ -133,8 +147,18 @@ def _string_quaternions(steps: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
 
 def _fidelity(q: np.ndarray) -> np.ndarray:
-    """F = ||A||_*^2 / (4n), clamped to 1, for quaternion columns q (..., n, 4)."""
-    sv = np.linalg.svd(q, compute_uv=False)
+    """F = ||A||_*^2 / (4n), clamped to 1, for quaternion columns q (..., n, 4).
+
+    Stacks of _GRAM_MIN_STACK or more take sigma_j = ||q v_j|| over the
+    eigenvectors v_j of q^T q (see the module docstring); smaller stacks
+    call the SVD.
+    """
+    if math.prod(q.shape[:-2]) >= _GRAM_MIN_STACK:
+        v = np.linalg.eigh(np.matmul(q.swapaxes(-1, -2), q))[1]
+        qv = np.matmul(q, v)
+        sv = np.sqrt(np.einsum("...ij,...ij->...j", qv, qv))
+    else:
+        sv = np.linalg.svd(q, compute_uv=False)
     return np.minimum(np.square(sv.sum(axis=-1)) / (4 * q.shape[-2]), 1.0)
 
 
@@ -157,7 +181,7 @@ def batch_fidelities(coin0: np.ndarray, coin1: np.ndarray, bits: np.ndarray) -> 
     bits = np.asarray(bits, dtype=np.intp)
     if bits.ndim != 2:
         raise ValueError("bits must be a 2d array of 0/1 rows")
-    return _row_fidelities(_su2_steps(coin0, coin1, 2 * bits.shape[1] + 1), bits)
+    return _row_fidelities(_su2_steps((coin0, coin1), 2 * bits.shape[1] + 1), bits)
 
 
 def _sweep_layout(T: int) -> tuple[int, int, int]:
@@ -172,27 +196,38 @@ def _sweep_layout(T: int) -> tuple[int, int, int]:
     return t_suf, per_chunk, n_pre // per_chunk
 
 
-def _sweep(coin0, coin1, T: int, chunk_lo: int, chunk_hi: int) -> np.ndarray:
-    """Fidelities of the 0-led strings whose prefixes lie in chunks [chunk_lo, chunk_hi).
+def _sweep_stacks(coin0, coin1, T: int, chunk_lo: int, chunk_hi: int):
+    """Yield the quaternion matrices of each chunk in [chunk_lo, chunk_hi), in order.
 
-    The prefix occupies the high bits, so the result is a contiguous
-    slice of the sweep in ascending string order.
+    Each chunk is one array (prefixes, suffixes, n, 4) of 0-led strings;
+    the prefix occupies the high bits, so the chunks run in ascending
+    string order.
     """
     n = 2 * T + 1
     t_suf, per_chunk, _ = _sweep_layout(T)
     n_suf = 1 << t_suf
-    steps = _su2_steps(coin0, coin1, n)
+    steps = _su2_steps((coin0, coin1), n)
     suffix = _string_quaternions(steps, _bits_matrix(np.arange(n_suf, dtype=np.uint32), t_suf))
-    # per momentum, the stacked left-multiplication matrices of all suffixes
-    left = _left_mul(suffix.transpose(1, 0, 2)).reshape(n, 4 * n_suf, 4)
+    # per momentum, the transposed left-multiplication matrices of all suffixes
+    left_t = _left_mul(suffix.transpose(1, 0, 2)).transpose(0, 3, 1, 2).reshape(n, 4, 4 * n_suf)
     pre_vals = np.arange(chunk_lo * per_chunk, chunk_hi * per_chunk, dtype=np.uint32)
-    prefix = _string_quaternions(steps, _bits_matrix(pre_vals, T - t_suf)).transpose(1, 2, 0)
-    out = np.empty((pre_vals.size, n_suf))
+    prefix = _string_quaternions(steps, _bits_matrix(pre_vals, T - t_suf)).transpose(1, 0, 2)
     for lo in range(0, pre_vals.size, per_chunk):
-        hi = lo + per_chunk
-        total = np.matmul(left, np.ascontiguousarray(prefix[:, :, lo:hi]))  # (n, 4S, c)
-        total = total.reshape(n, n_suf, 4, per_chunk).transpose(3, 1, 0, 2)
-        out[lo:hi] = _fidelity(total)
+        total = np.matmul(prefix[:, lo : lo + per_chunk], left_t)
+        # (n, prefixes, suffixes, 4): each string's rows move as 4-float blocks
+        total = total.reshape(n, per_chunk, n_suf, 4).transpose(1, 2, 0, 3)
+        yield np.ascontiguousarray(total)
+
+
+def _sweep(coin0, coin1, T: int, chunk_lo: int, chunk_hi: int) -> np.ndarray:
+    """Fidelities of the 0-led strings whose prefixes lie in chunks [chunk_lo, chunk_hi).
+
+    The result is a contiguous slice of the sweep in ascending string order.
+    """
+    t_suf, per_chunk, _ = _sweep_layout(T)
+    out = np.empty((chunk_hi - chunk_lo, per_chunk, 1 << t_suf))
+    for i, q in enumerate(_sweep_stacks(coin0, coin1, T, chunk_lo, chunk_hi)):
+        out[i] = _fidelity(q)
     return out.ravel()
 
 
@@ -332,10 +367,6 @@ _STOP_COST = 1e-8
 _MIN_SIGMA = 1e-4
 
 
-def _angle_steps(g: list[float], T: int) -> np.ndarray:
-    return _su2_steps(rotation_coin(g[0]), rotation_coin(g[1]), 2 * T + 1)
-
-
 def _anneal_cost(steps: np.ndarray, bits: np.ndarray) -> float:
     return 1.0 - float(_row_fidelities(steps, bits[None, :])[0])
 
@@ -348,7 +379,8 @@ def _anneal_restart(
 ) -> AnnealResult:
     bits = rng.integers(0, 2, T, dtype=np.int8)
     g = list(_START_ANGLES)
-    steps = _angle_steps(g, T) if coins is None else _su2_steps(*coins, 2 * T + 1)
+    n = 2 * T + 1
+    steps = _su2_steps(coins or [rotation_coin(angle) for angle in g], n)
     cost = _anneal_cost(steps, bits)
     best_bits, best_g, best_cost = bits.copy(), list(g), cost
     # With equal steps every string walks alike, so no flip can lower the cost.
@@ -367,7 +399,10 @@ def _anneal_restart(
                 cand_g[which] = float(
                     np.clip(g[which] + sigma * rng.standard_normal(), 0.0, half_pi)
                 )
-                cand_steps = _angle_steps(cand_g, T)
+                # rebuild only the moved coin's step; order="K" keeps the
+                # memory layout of steps, on which the products' round-off depends
+                cand_steps = steps.copy(order="K")
+                cand_steps[which] = _su2_steps([rotation_coin(cand_g[which])], n)[0]
             else:
                 flip = int(rng.integers(0, T))
                 cand_bits = bits.copy()

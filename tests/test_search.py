@@ -10,6 +10,7 @@ from walkmeg import (
     HADAMARD,
     IDENTITY,
     PAULI_X,
+    PAULI_Z,
     AnnealConfig,
     CoinSequence,
     ResourceLimitError,
@@ -23,7 +24,13 @@ from walkmeg import (
     sequence_fidelity,
     worker_count,
 )
-from walkmeg.search import batch_fidelities
+from walkmeg.search import (
+    _GRAM_MIN_STACK,
+    _bits_matrix,
+    _string_quaternions,
+    _su2_steps,
+    batch_fidelities,
+)
 
 SYMMETRY_SETS = {
     "H,I": (HADAMARD, IDENTITY),
@@ -338,3 +345,48 @@ def test_enumeration_guards_its_length():
     for T in (0, 25):
         with pytest.raises(ResourceLimitError, match="brute force supports"):
             enumerate_fidelities(HADAMARD, IDENTITY, T)
+
+
+def _random_angle_sets(seed: int, count: int) -> dict:
+    rng = np.random.default_rng(seed)
+    return {
+        f"g:{g0:.3f},{g1:.3f}": (rotation_coin(g0), rotation_coin(g1))
+        for g0, g1 in rng.uniform(0.0, math.pi / 2.0, (count, 2))
+    }
+
+
+# the single-coin sets have channels with singular values that are exactly zero
+GRAM_SETS = {
+    "H,I": (HADAMARD, IDENTITY),
+    "H,X": (HADAMARD, PAULI_X),
+    "H,F": (HADAMARD, FOURIER),
+    "H,Z": (HADAMARD, PAULI_Z),
+    "I,I": (IDENTITY, IDENTITY),
+    "X,X": (PAULI_X, PAULI_X),
+    "H,H": (HADAMARD, HADAMARD),
+    **_random_angle_sets(12, 3),
+}
+
+
+@pytest.mark.parametrize("label", sorted(GRAM_SETS))
+def test_gram_route_matches_svd_reference(label):
+    # every string at T=12, scored by the Gram route (stacks of 1024 rows
+    # and the sweep) against one SVD per string of the same quaternions
+    coin0, coin1 = GRAM_SETS[label]
+    T = 12
+    rows = _bits_matrix(np.arange(1 << T, dtype=np.uint32), T).astype(np.intp)
+    q = _string_quaternions(_su2_steps((coin0, coin1), 2 * T + 1), rows)
+    sv = np.linalg.svd(q, compute_uv=False)
+    reference = np.minimum(np.square(sv.sum(axis=-1)) / (4 * q.shape[-2]), 1.0)
+    np.testing.assert_allclose(batch_fidelities(coin0, coin1, rows), reference, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(enumerate_fidelities(coin0, coin1, T), reference, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("label", sorted(GRAM_SETS))
+def test_stack_size_does_not_show_in_a_result(label):
+    # a string scored on its own takes the SVD, inside a stack the Gram route
+    coin0, coin1 = GRAM_SETS[label]
+    rows = np.random.default_rng(5).integers(0, 2, (_GRAM_MIN_STACK, 12))
+    stacked = batch_fidelities(coin0, coin1, rows)
+    alone = [batch_fidelities(coin0, coin1, row[None])[0] for row in rows]
+    np.testing.assert_allclose(stacked, alone, rtol=0.0, atol=1e-14)
