@@ -51,7 +51,8 @@ from .search import (
     ResourceLimitError,
     anneal,
     batch_fidelities,
-    enumerate_fidelities,
+    brute_force,
+    enumerate_fidelities,  # read by perfbench's test_tracer_wraps_every_import_name_and_restores_them
     landscape_scan,
 )
 from .sphere import fibonacci_sphere
@@ -67,7 +68,6 @@ from .walk import (
 __all__ = ["main"]
 
 _VERIFY_MAX_T = 12
-_COUNT_TOLERANCES = (1e-6, 1e-9, 1e-12)
 
 # Resource guards: a larger request exits with code 3 before any work.
 SIMULATE_MAX_T = 1000  # T rows of 2T+5 columns
@@ -216,9 +216,11 @@ def _parse_T_range(raw: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _brute_best_bits(T: int, coin0: np.ndarray, coin1: np.ndarray) -> str:
-    fid = enumerate_fidelities(coin0, coin1, T)
-    return format(int(np.argmax(fid)), f"0{T}b")
+def _parse_tol(raw: str) -> float:
+    tol = float(raw)
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"--tol must be a number in (0, 1), got {raw!r}")
+    return tol
 
 
 def _table_bits(T: int, set_label: str) -> str | None:
@@ -235,21 +237,20 @@ def _table_bits(T: int, set_label: str) -> str | None:
 def _resolve_bits(
     choice: str, T: int, coin0: np.ndarray, coin1: np.ndarray, set_label: str
 ) -> str:
-    if "," not in set_label and not set_label.startswith("g:"):
-        # single-coin set: every bit string walks identically
-        return "0" * T
-    if choice == "table":
-        bits = _table_bits(T, set_label)
-        return bits if bits is not None else _brute_best_bits(T, coin0, coin1)
-    if choice == "brute-best":
-        return _brute_best_bits(T, coin0, coin1)
-    if not choice or set(choice) - {"0", "1"}:
+    literal = choice not in ("table", "brute-best")
+    if literal and (not choice or set(choice) - {"0", "1"}):
         raise ValueError(
             f"--bits must be 'table', 'brute-best' or a 0/1 string, got {choice!r}"
         )
-    if len(choice) != T:
+    if literal and len(choice) != T:
         raise ValueError(f"--bits literal has length {len(choice)}, but T is {T}")
-    return choice
+    if "," not in set_label and not set_label.startswith("g:"):
+        # single-coin set: every bit string walks identically
+        return "0" * T
+    if literal:
+        return choice
+    bits = _table_bits(T, set_label) if choice == "table" else None
+    return bits if bits is not None else brute_force(T, coin0, coin1).best_bits
 
 
 def _metadata(tokens: list[str], seed_raw: str) -> dict:
@@ -330,19 +331,15 @@ def _cmd_search(ns) -> tuple[ResultTable, int]:
     if ns.mode == "brute":
         coin0, coin1, label = _parse_set(ns.set if ns.set is not None else "H,I")
         metadata["set"] = label
-        tolerance = float(ns.tol)
-        if not tolerance > 0.0:
-            raise ValueError("--tol must be positive")
-        fid = enumerate_fidelities(coin0, coin1, T)
-        hits = np.nonzero(fid > 1.0 - tolerance)[0]
-        metadata["best_fidelity"] = float(fid.max())
-        metadata["count_optimal"] = int(hits.size)
-        metadata["evaluations"] = int(fid.size)
-        for tol in _COUNT_TOLERANCES:
-            metadata[f"count_{tol:.0e}"] = int((fid > 1.0 - tol).sum())
+        result = brute_force(T, coin0, coin1, _parse_tol(ns.tol))
+        metadata["best_fidelity"] = result.best_fidelity
+        metadata["count_optimal"] = result.count_optimal
+        metadata["evaluations"] = result.evaluations
+        for tol, count in result.counts.items():
+            metadata[f"count_{tol:.0e}"] = count
         table = ResultTable(("bits", "fidelity"), metadata=metadata)
-        for value in hits:
-            table.append(format(int(value), f"0{T}b"), float(fid[value]))
+        for row in zip(result.optimal_bits, result.optimal_fidelities):
+            table.append(*row)
         return table, 0
 
     if ns.mode == "anneal":
@@ -374,7 +371,7 @@ def _cmd_search(ns) -> tuple[ResultTable, int]:
 
 
 def _cmd_verify(ns) -> tuple[ResultTable, int]:
-    tolerance = float(ns.tol)
+    tolerance = _parse_tol(ns.tol)
     tokens = ["verify"]
     if ns.pattern is not None:
         tokens += ["--pattern", ns.pattern]

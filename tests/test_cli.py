@@ -181,6 +181,32 @@ def test_resource_guard_message_and_brute_best(capsys):
     assert main(["simulate", "--T", "30", "--set", "H,X", "--bits", "brute-best"]) == 3
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1"])
+@pytest.mark.parametrize("argv", [["search", "brute", "--T", "3"], ["verify", "--max-T", "3"]])
+def test_tolerance_outside_the_unit_interval_is_a_usage_error(argv, tol, capsys):
+    assert main(argv + ["--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --tol must be a number in (0, 1)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--T", "3", "--set", "H", "--bits", "xyz"],
+    ["simulate", "--T", "3", "--set", "H", "--bits", "0101"],
+    ["fidelity-curve", "--T-range", "2:3", "--set", "H", "--bits", "01010"],
+])
+def test_single_coin_set_checks_a_literal_bit_string(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_single_coin_set_walks_the_first_coin(capsys):
+    for bits in ("101", "table", "brute-best"):
+        code, out = run_cli(capsys, "simulate", "--T", "3", "--set", "H", "--bits", bits)
+        assert code == 0
+        assert parse_table(out).metadata["bits"] == "000"
+
+
 # one oversized request per guard: (argv, what the error names, limit, request)
 GUARDED = {
     "simulate": (["simulate", "--T", str(cli.SIMULATE_MAX_T + 1)],
