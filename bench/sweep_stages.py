@@ -1,16 +1,22 @@
 """Time the stages of the exhaustive 2^T sweep and write BENCH_sweep.json.
 
 On one worker, at T = 16, 18 and 20 for the {H, 1} set, the script walks
-the sweep's own chunks (walkmeg.search._sweep_stacks) and times three
-stages on the same stacks: composing prefix and suffix products, the SVD
-reference for the fidelities, and the Gram-eigenvector route that the
-sweep uses, over three passes. It records the largest difference between
-the two routes and times three whole enumerate_fidelities calls. Every
-time is the median of its three. At T = 24 it times one whole
-enumerate_fidelities call on all workers and records the optimal {H, 1}
-counts. Times are CPU seconds of this process (process_time), with the
-pooled T = 24 run also counting its reaped workers; wall seconds are
-given beside them.
+the sweep's own chunks (walkmeg.search._sweep_stacks) and times, on the
+same stacks: composing prefix and suffix products, the SVD reference for
+the fidelities, the Gram-eigenvector route that the unscreened sweep
+uses, and the two halves of the screened sweep that brute_force runs
+(exact_above = 1 - 1e-6): the Gram matrices with their purity bounds,
+and the eigensolver on the rows that survive, which it counts. It runs
+three passes, records the largest difference between the SVD and Gram
+routes, and times three whole enumerate_fidelities and brute_force
+calls. Every time is the median of its three. The screen's worst case,
+g:0.32,0.412 at T = 18, where no bound falls below the best, is timed
+the same way. At T = 24, on all workers, it times one whole unscreened
+enumerate_fidelities call, which records the optimal {H, 1} counts, and
+one `walkmeg search brute --T 24` end to end (walkmeg.cli.main in this
+process, output discarded). Times are CPU seconds of this process
+(process_time), with the pooled T = 24 runs also counting their reaped
+workers; wall seconds are given beside them.
 
 Run from the repository root:
 
@@ -22,6 +28,8 @@ Needs only numpy and the standard library.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -36,11 +44,16 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from walkmeg.coins import HADAMARD, IDENTITY  # noqa: E402
+from walkmeg.cli import main as cli_main  # noqa: E402
+from walkmeg.coins import HADAMARD, IDENTITY, rotation_coin  # noqa: E402
 from walkmeg.search import (  # noqa: E402
     _fidelity,
+    _gram,
+    _score,
+    _screen,
     _sweep_layout,
     _sweep_stacks,
+    brute_force,
     enumerate_fidelities,
     worker_count,
 )
@@ -49,6 +62,8 @@ STAGE_T = (16, 18, 20)
 FULL_T = 24
 REPEATS = 3  # passes over the stages and whole one-worker calls per T; medians are reported
 TOLERANCES = (1e-6, 1e-9, 1e-12)
+EXACT_ABOVE = 1.0 - 1e-6  # what brute_force passes at its default tolerance
+WORST_CASE = ("g:0.32,0.412", 18)  # no bound falls below the best: the screen skips nothing
 
 
 def _svd_fidelity(q: np.ndarray) -> np.ndarray:
@@ -62,12 +77,17 @@ def _children_cpu() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def _stage_pass(T: int) -> tuple[float, float, float, float]:
-    """CPU seconds of compose, SVD and Gram over every chunk, and the largest difference."""
+def _stage_pass(coins, T: int) -> tuple[float, float, float, float, float, float, int]:
+    """CPU seconds of compose, SVD, Gram, screen and scored eigh over every chunk.
+
+    Also returns the largest SVD-Gram difference and the number of rows
+    the screen passed to the eigensolver.
+    """
     n_chunks = _sweep_layout(T)[2]
-    compose = svd = gram = 0.0
-    worst = 0.0
-    stacks = _sweep_stacks(HADAMARD, IDENTITY, T, 0, n_chunks)
+    n = 2 * T + 1
+    compose = svd = gram_route = screen = scored = 0.0
+    worst, rows, best = 0.0, 0, -float("inf")
+    stacks = _sweep_stacks(*coins, T, 0, n_chunks)
     while True:
         t0 = time.process_time()
         q = next(stacks, None)
@@ -79,20 +99,36 @@ def _stage_pass(T: int) -> tuple[float, float, float, float]:
         svd += time.process_time() - t0
         t0 = time.process_time()
         fid = _fidelity(q)
-        gram += time.process_time() - t0
+        gram_route += time.process_time() - t0
         worst = max(worst, float(np.max(np.abs(fid - ref))))
-    return compose, svd, gram, worst
+        q = q.reshape(-1, n, 4)
+        t0 = time.process_time()
+        gram = _gram(q)
+        bound, keep, best = _screen(q, gram, EXACT_ABOVE, best)
+        screen += time.process_time() - t0
+        t0 = time.process_time()
+        best = max(best, _score(q, gram, bound, keep))
+        scored += time.process_time() - t0
+        rows += keep.size
+    return compose, svd, gram_route, screen, scored, worst, rows
 
 
-def stage_times(T: int) -> dict:
-    """Medians over REPEATS passes of each stage, and of the whole one-worker call."""
-    compose, svd, gram, worst = zip(*(_stage_pass(T) for _ in range(REPEATS)))
-    whole_cpu, whole_wall = [], []
-    for _ in range(REPEATS):
-        w0, c0 = time.perf_counter(), time.process_time()
-        fid = enumerate_fidelities(HADAMARD, IDENTITY, T, workers=1)
-        whole_cpu.append(time.process_time() - c0)
-        whole_wall.append(time.perf_counter() - w0)
+def _pooled(call):
+    """(result, wall seconds, CPU seconds) of one call, reaped pool workers included."""
+    c0, k0, w0 = time.process_time(), _children_cpu(), time.perf_counter()
+    result = call()
+    wall = time.perf_counter() - w0
+    return result, wall, time.process_time() - c0 + _children_cpu() - k0
+
+
+def stage_times(coins, T: int) -> dict:
+    """Medians over REPEATS passes of each stage, and of the whole one-worker calls."""
+    compose, svd, gram, screen, scored, worst, rows = zip(
+        *(_stage_pass(coins, T) for _ in range(REPEATS))
+    )
+    whole = [_pooled(lambda: enumerate_fidelities(*coins, T, workers=1)) for _ in range(REPEATS)]
+    brute = [_pooled(lambda: brute_force(T, *coins, workers=1)) for _ in range(REPEATS)]
+    fid = whole[0][0]
     return {
         "T": T,
         "strings_evaluated": 1 << (T - 1),
@@ -101,28 +137,38 @@ def stage_times(T: int) -> dict:
         "svd_reference_cpu_s_median": round(statistics.median(svd), 4),
         "gram_route_cpu_s_median": round(statistics.median(gram), 4),
         "max_abs_gram_minus_svd": max(worst),
-        "enumerate_cpu_s_median": round(statistics.median(whole_cpu), 4),
-        "enumerate_wall_s_median": round(statistics.median(whole_wall), 4),
+        "screen_gram_and_bound_cpu_s_median": round(statistics.median(screen), 4),
+        "screen_scored_eigh_cpu_s_median": round(statistics.median(scored), 4),
+        "screen_rows_scored": rows[0],
+        "enumerate_cpu_s_median": round(statistics.median(c for _, _, c in whole), 4),
+        "enumerate_wall_s_median": round(statistics.median(w for _, w, _ in whole), 4),
+        "brute_force_cpu_s_median": round(statistics.median(c for _, _, c in brute), 4),
+        "brute_force_wall_s_median": round(statistics.median(w for _, w, _ in brute), 4),
         "enumerate_repeats": REPEATS,
         "optimal_count_1e-9": int((fid > 1.0 - 1e-9).sum()),
     }
 
 
 def full_run(T: int) -> dict:
-    """One whole pooled sweep: wall and CPU seconds and the optimal counts."""
-    workers = worker_count()
-    c0, k0, w0 = time.process_time(), _children_cpu(), time.perf_counter()
-    fid = enumerate_fidelities(HADAMARD, IDENTITY, T)
-    wall = time.perf_counter() - w0
-    cpu = time.process_time() - c0 + _children_cpu() - k0
+    """One whole unscreened pooled sweep: wall and CPU seconds and the optimal counts."""
+    fid, wall, cpu = _pooled(lambda: enumerate_fidelities(HADAMARD, IDENTITY, T))
     return {
         "T": T,
-        "workers": workers,
+        "workers": worker_count(),
         "wall_s": round(wall, 3),
         "cpu_s": round(cpu, 3),
         "optimal_counts": {f"{tol:.0e}": int((fid > 1.0 - tol).sum()) for tol in TOLERANCES},
         "best_suboptimal": float(fid[fid <= 1.0 - 1e-6].max()),
     }
+
+
+def cli_run(T: int) -> dict:
+    """`walkmeg search brute --T T` end to end on all workers, output discarded."""
+    argv = ["search", "brute", "--T", str(T)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        _, wall, cpu = _pooled(lambda: cli_main(argv))
+    return {"command": "walkmeg " + " ".join(argv), "workers": worker_count(),
+            "wall_s": round(wall, 3), "cpu_s": round(cpu, 3)}
 
 
 def main(argv=None) -> int:
@@ -133,11 +179,17 @@ def main(argv=None) -> int:
     enumerate_fidelities(HADAMARD, IDENTITY, 12, workers=1)  # warm imports and BLAS
     stages = []
     for T in STAGE_T:
-        row = stage_times(T)
+        row = stage_times((HADAMARD, IDENTITY), T)
         stages.append(row)
         print(json.dumps(row), flush=True)
+    label, T = WORST_CASE
+    g0, g1 = (float(g) for g in label[2:].split(","))
+    worst = {"coin_set": label, **stage_times((rotation_coin(g0), rotation_coin(g1)), T)}
+    print(json.dumps(worst), flush=True)
     full = full_run(FULL_T)
     print(json.dumps(full), flush=True)
+    cli = cli_run(FULL_T)
+    print(json.dumps(cli), flush=True)
 
     record = {
         "bench": "sweep_stages",
@@ -149,8 +201,11 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
         },
         "units": "seconds; stage times are CPU seconds on one worker",
+        "screen_exact_above": EXACT_ABOVE,
         "stages_one_worker": stages,
+        "screen_worst_case_one_worker": worst,
         "full_sweep_all_workers": full,
+        "cli_search_brute_all_workers": cli,
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0

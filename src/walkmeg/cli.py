@@ -331,7 +331,7 @@ def _cmd_search(ns) -> tuple[ResultTable, int]:
     if ns.mode == "brute":
         coin0, coin1, label = _parse_set(ns.set if ns.set is not None else "H,I")
         metadata["set"] = label
-        result = brute_force(T, coin0, coin1, _parse_tol(ns.tol))
+        result = brute_force(T, coin0, coin1, ns.tolerance)
         metadata["best_fidelity"] = result.best_fidelity
         metadata["count_optimal"] = result.count_optimal
         metadata["evaluations"] = result.evaluations
@@ -371,7 +371,6 @@ def _cmd_search(ns) -> tuple[ResultTable, int]:
 
 
 def _cmd_verify(ns) -> tuple[ResultTable, int]:
-    tolerance = _parse_tol(ns.tol)
     tokens = ["verify"]
     if ns.pattern is not None:
         tokens += ["--pattern", ns.pattern]
@@ -401,7 +400,7 @@ def _cmd_verify(ns) -> tuple[ResultTable, int]:
     offenders = []
     for pattern, fidelity in zip(patterns, fidelities):
         predicted = theorem_predicate(pattern)
-        measured = fidelity > 1.0 - tolerance
+        measured = fidelity > 1.0 - ns.tolerance
         agree = predicted == measured
         text = ",".join(str(v) for v in pattern.ls)
         table.append(text, "true" if predicted else "false", fidelity,
@@ -468,6 +467,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (None, 0) else 2
 
     try:
+        # every subcommand takes --tol, so it is checked once for all of them
+        ns.tolerance = _parse_tol(ns.tol)
         table, code = _HANDLERS[ns.command](ns)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

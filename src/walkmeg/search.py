@@ -37,6 +37,23 @@ lowest-valued one within BEST_TIE = 1e-12 of the maximum. Over every string
 of T <= 18 for {H,I}, {H,X}, {H,F}, {H,Z} and g:0.4,1.1, ties lie within
 1.3e-15 of the maximum and every other fidelity at least 5.8e-6 below it.
 
+Screen. A top-set query needs exact fidelities only near its answer.
+The chi purity P = sum_i p_i^2 = ||A^T A||_F^2 / n^2 comes from the Gram
+matrix without an eigensolver, and it bounds F: the largest
+(sum_i sqrt p_i)^2 / 4 at a given purity is reached at the spectrum
+(1/4 + 3d, 1/4 - d, 1/4 - d, 1/4 - d) with d = sqrt((4P - 1) / 48).
+enumerate_fidelities(..., exact_above=x) gives the eigensolver only the
+rows whose bound reaches min(x, best - BEST_TIE) - 1e-7, where best is the
+running best of the worker, seeded in its first chunk by the row of the
+largest bound; the other rows keep their bound. The 1e-7 slack covers the
+bound's own round-off, which reached 9.3e-9 near pure spectra. Scored rows
+take the same Gram route, matrix by matrix, so they equal the unscreened
+sweep bit for bit; sweeps of fewer than _GRAM_MIN_STACK strings are not
+screened. brute_force passes x = 1 - max(tolerance, COUNT_TOLERANCES): at
+T=18 on one worker the eigensolver then sees 316 of the 2^17 strings of
+{H,I}, 17 of {H,F} and 6 of g:0.4,1.1. When no bound falls that low, as
+for g:0.32,0.412, it sees them all.
+
 First-coin symmetry. The first coin acts on the walker at the origin
 before any shift: a unitary on the input coin, to which the target's
 Choi state I/4 is blind. Flipping the first bit leaves F unchanged, so
@@ -45,8 +62,9 @@ the sweep evaluates the 2^(T-1) strings starting with 0 and mirrors them.
 The sweep meets in the middle: prefix and suffix products are built once
 and each fixed chunk of prefixes meets all suffixes in one batched real
 matmul. Workers take whole chunks, merged in ascending order, so the
-output is byte-identical for any worker count. Small sweeps run
-serially; large ones use a process pool, capped by WALKMEG_THREADS.
+output (its exact entries, when screened) is byte-identical for any
+worker count. Small sweeps run serially; large ones use a process pool,
+capped by WALKMEG_THREADS.
 """
 
 from __future__ import annotations
@@ -80,6 +98,9 @@ BRUTE_FORCE_MAX_T = 24
 LANDSCAPE_MAX_T = 12
 BEST_TIE = 1e-12  # see "Best string" above
 COUNT_TOLERANCES = (1e-6, 1e-9, 1e-12)
+# Most optimal strings one brute_force call lists: tolerance 0.1 at T=24
+# would otherwise build 15.6M rows of Python strings and floats.
+BRUTE_LIST_MAX_ROWS = 1 << 20
 
 # Strings scored per batched matmul and eigensolver call. On one worker at
 # T=18, 1 << 13 took 0.46 s of CPU instead of 0.37 s and raised the peak
@@ -94,6 +115,10 @@ _GRAM_MIN_STACK = 16
 # ~25 ms of wall time and ~40 ms of CPU to start, and 2^14 strings take
 # ~0.12 s serially, which two workers bring down to ~0.08 s.
 _POOL_MIN_STRINGS = 1 << 14
+# A screened row is scored exactly unless its purity bound lies this far
+# below the threshold. The bound's own round-off, largest near pure
+# spectra, reached 9.3e-9 over 10^6 random spectra crowded there.
+_SCREEN_SLACK = 1e-7
 
 
 class ResourceLimitError(RuntimeError):
@@ -155,6 +180,22 @@ def _string_quaternions(steps: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return q
 
 
+def _gram(q: np.ndarray) -> np.ndarray:
+    """The 4x4 Gram matrices q^T q of quaternion columns q (..., n, 4)."""
+    return np.matmul(q.swapaxes(-1, -2), q)
+
+
+def _gram_singular_values(q: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """sigma_j = ||q v_j|| over the eigenvectors v_j of each Gram matrix."""
+    qv = np.matmul(q, np.linalg.eigh(gram)[1])
+    return np.sqrt(np.einsum("...ij,...ij->...j", qv, qv))
+
+
+def _nuclear_fidelity(sv: np.ndarray, n: int) -> np.ndarray:
+    """F = (sum_j sigma_j)^2 / (4n), clamped to 1."""
+    return np.minimum(np.square(sv.sum(axis=-1)) / (4 * n), 1.0)
+
+
 def _fidelity(q: np.ndarray) -> np.ndarray:
     """F = ||A||_*^2 / (4n), clamped to 1, for quaternion columns q (..., n, 4).
 
@@ -163,12 +204,22 @@ def _fidelity(q: np.ndarray) -> np.ndarray:
     call the SVD.
     """
     if math.prod(q.shape[:-2]) >= _GRAM_MIN_STACK:
-        v = np.linalg.eigh(np.matmul(q.swapaxes(-1, -2), q))[1]
-        qv = np.matmul(q, v)
-        sv = np.sqrt(np.einsum("...ij,...ij->...j", qv, qv))
+        sv = _gram_singular_values(q, _gram(q))
     else:
         sv = np.linalg.svd(q, compute_uv=False)
-    return np.minimum(np.square(sv.sum(axis=-1)) / (4 * q.shape[-2]), 1.0)
+    return _nuclear_fidelity(sv, q.shape[-2])
+
+
+def _purity_bound(gram: np.ndarray, n: int) -> np.ndarray:
+    """Upper bound on F from the chi purity P = ||gram||_F^2 / n^2 alone.
+
+    The largest (sum_i sqrt p_i)^2 / 4 over spectra with sum_i p_i = 1 and
+    sum_i p_i^2 = P, reached at (1/4 + 3d, 1/4 - d, 1/4 - d, 1/4 - d)
+    with d = sqrt((4P - 1) / 48).
+    """
+    purity = np.einsum("...ij,...ij->...", gram, gram) / (n * n)
+    d = np.sqrt(np.maximum(4.0 * purity - 1.0, 0.0) / 48.0)
+    return np.square(np.sqrt(0.25 + 3.0 * d) + 3.0 * np.sqrt(np.maximum(0.25 - d, 0.0))) / 4.0
 
 
 def _row_fidelities(steps: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -228,20 +279,64 @@ def _sweep_stacks(coin0, coin1, T: int, chunk_lo: int, chunk_hi: int):
         yield np.ascontiguousarray(total)
 
 
-def _sweep(coin0, coin1, T: int, chunk_lo: int, chunk_hi: int) -> np.ndarray:
+def _screen(q: np.ndarray, gram: np.ndarray, exact_above: float, best: float):
+    """(purity bounds, indices of the rows to score, running best) of one stack.
+
+    q holds the stack's quaternion columns (rows, n, 4) and gram their
+    Gram matrices. A running best of -inf is first seeded with the
+    fidelity of the row of the largest bound.
+    """
+    n = q.shape[-2]
+    bound = _purity_bound(gram, n)
+    if best == -math.inf:
+        top = [int(np.argmax(bound))]
+        best = float(_nuclear_fidelity(_gram_singular_values(q[top], gram[top]), n)[0])
+    return bound, np.flatnonzero(bound >= min(exact_above, best - BEST_TIE) - _SCREEN_SLACK), best
+
+
+def _score(q: np.ndarray, gram: np.ndarray, fid: np.ndarray, scored: np.ndarray) -> float:
+    """Overwrite fid at the scored rows with their fidelities; return the largest, or -inf."""
+    if not scored.size:
+        return -math.inf
+    if scored.size < fid.size:  # copy the survivors only when some rows drop out
+        q, gram = q[scored], gram[scored]
+    fid[scored] = exact = _nuclear_fidelity(_gram_singular_values(q, gram), q.shape[-2])
+    return float(exact.max())
+
+
+def _sweep(
+    coin0, coin1, T: int, chunk_lo: int, chunk_hi: int, exact_above: float | None = None
+) -> np.ndarray:
     """Fidelities of the 0-led strings whose prefixes lie in chunks [chunk_lo, chunk_hi).
 
     The result is a contiguous slice of the sweep in ascending string order.
+    With exact_above set, rows whose purity bound stays below both
+    exact_above and the running best minus BEST_TIE hold their bound
+    (see "Screen" in the module docstring).
     """
     t_suf, per_chunk, _ = _sweep_layout(T)
-    out = np.empty((chunk_hi - chunk_lo, per_chunk, 1 << t_suf))
+    n = 2 * T + 1
+    out = np.empty((chunk_hi - chunk_lo, per_chunk << t_suf))
+    best = -math.inf
     for i, q in enumerate(_sweep_stacks(coin0, coin1, T, chunk_lo, chunk_hi)):
-        out[i] = _fidelity(q)
+        if exact_above is None or out.shape[1] < _GRAM_MIN_STACK:
+            out[i] = _fidelity(q).ravel()
+            continue
+        q = q.reshape(-1, n, 4)
+        gram = _gram(q)
+        fid, scored, best = _screen(q, gram, exact_above, best)
+        best = max(best, _score(q, gram, fid, scored))
+        out[i] = fid
     return out.ravel()
 
 
 def enumerate_fidelities(
-    coin0: np.ndarray, coin1: np.ndarray, T: int, workers: int | None = None
+    coin0: np.ndarray,
+    coin1: np.ndarray,
+    T: int,
+    workers: int | None = None,
+    *,
+    exact_above: float | None = None,
 ) -> np.ndarray:
     """Fidelity of every bit string of length T, indexed by its integer value.
 
@@ -249,8 +344,18 @@ def enumerate_fidelities(
     bit. Only strings starting with 0 are evaluated; the other half is
     their mirror image (first-coin symmetry). Raises ResourceLimitError
     outside 1 <= T <= BRUTE_FORCE_MAX_T. Worker partitions are whole
-    chunks concatenated in ascending order, so any worker count yields
-    the identical array.
+    chunks concatenated in ascending order, so without exact_above any
+    worker count yields the identical array.
+
+    exact_above=None scores every string exactly. With a value, a string
+    is scored exactly when its purity bound reaches exact_above or comes
+    within BEST_TIE of the best fidelity its worker has scored so far
+    (see "Screen" in the module docstring). Every other entry holds that
+    bound, which lies below both and is at least the string's fidelity,
+    up to ~1e-8 of round-off. So every entry above exact_above, the
+    maximum and every entry within BEST_TIE of it are exact and equal
+    the unscreened array bit for bit; which of the other entries are
+    bounds depends on the worker split.
     """
     T = int(T)
     if not 1 <= T <= BRUTE_FORCE_MAX_T:
@@ -261,13 +366,13 @@ def enumerate_fidelities(
     n_chunks = _sweep_layout(T)[2]
     n_jobs = min(worker_count(workers), n_chunks)
     if n_jobs <= 1 or (1 << (T - 1)) < _POOL_MIN_STRINGS:
-        half = _sweep(coin0, coin1, T, 0, n_chunks)
+        half = _sweep(coin0, coin1, T, 0, n_chunks, exact_above)
     else:
         import multiprocessing
 
         bounds = np.linspace(0, n_chunks, n_jobs + 1).astype(int)
         jobs = [
-            (coin0, coin1, T, int(lo), int(hi))
+            (coin0, coin1, T, int(lo), int(hi), exact_above)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         with multiprocessing.Pool(n_jobs) as pool:
@@ -308,14 +413,25 @@ def brute_force(
 ) -> SearchResult:
     """Evaluate every bit string of length T and collect the optimal set.
 
-    A string is optimal when its fidelity exceeds 1 - tolerance.
-    Deterministic for any worker split; best_bits also for either stage-4 route.
+    A string is optimal when its fidelity exceeds 1 - tolerance. Only
+    strings whose purity bound can reach the optimal set, a count or the
+    best string are scored exactly; the result is the one the unscreened
+    array gives. Raises ResourceLimitError when more than
+    BRUTE_LIST_MAX_ROWS strings are optimal. Deterministic for any worker
+    split; best_bits also for either stage-4 route.
     """
     T = int(T)
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
-    fid = enumerate_fidelities(coin0, coin1, T, workers)
+    exact_above = 1.0 - max(tolerance, *COUNT_TOLERANCES)
+    fid = enumerate_fidelities(coin0, coin1, T, workers, exact_above=exact_above)
     best = float(fid.max())
+    n_optimal = int(np.count_nonzero(fid > 1.0 - tolerance))
+    if n_optimal > BRUTE_LIST_MAX_ROWS:
+        raise ResourceLimitError(
+            f"brute force lists at most {BRUTE_LIST_MAX_ROWS} optimal strings, "
+            f"got {n_optimal} at tolerance {tolerance!r}"
+        )
     hits = np.nonzero(fid > 1.0 - tolerance)[0]
     return SearchResult(
         best_fidelity=best,

@@ -182,12 +182,37 @@ def test_resource_guard_message_and_brute_best(capsys):
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1"])
-@pytest.mark.parametrize("argv", [["search", "brute", "--T", "3"], ["verify", "--max-T", "3"]])
+@pytest.mark.parametrize("argv", [
+    ["search", "brute", "--T", "3"],
+    ["verify", "--max-T", "3"],
+    ["simulate", "--T", "3"],
+    ["fidelity-curve", "--T-range", "2:3"],
+    ["bloch", "--T", "3", "--n", "4"],
+    ["search", "anneal", "--T", "3", "--set", "H,I"],
+    ["search", "landscape", "--T", "2", "--grid", "2"],
+])
 def test_tolerance_outside_the_unit_interval_is_a_usage_error(argv, tol, capsys):
     assert main(argv + ["--tol", tol]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --tol must be a number in (0, 1)")
+
+
+def test_optimal_set_beyond_the_row_limit_is_refused(capsys, monkeypatch):
+    import walkmeg.search as search
+
+    # {H, 1} at T=7 has 24 optimal strings at the default tolerance
+    monkeypatch.setattr(search, "BRUTE_LIST_MAX_ROWS", 23)
+    assert main(["search", "brute", "--T", "7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: brute force lists at most 23 optimal strings, got 24 at tolerance 1e-09\n"
+    )
+    monkeypatch.setattr(search, "BRUTE_LIST_MAX_ROWS", 24)
+    code, out = run_cli(capsys, "search", "brute", "--T", "7")
+    assert code == 0
+    assert parse_table(out).metadata["count_optimal"] == 24
 
 
 @pytest.mark.parametrize("argv", [

@@ -28,7 +28,10 @@ from walkmeg.search import (
     BEST_TIE,
     COUNT_TOLERANCES,
     _GRAM_MIN_STACK,
+    _SCREEN_SLACK,
     _bits_matrix,
+    _gram,
+    _purity_bound,
     _string_quaternions,
     _su2_steps,
     batch_fidelities,
@@ -373,6 +376,9 @@ def test_gram_route_matches_svd_reference(label):
     reference = np.minimum(np.square(sv.sum(axis=-1)) / (4 * q.shape[-2]), 1.0)
     np.testing.assert_allclose(batch_fidelities(coin0, coin1, rows), reference, rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(enumerate_fidelities(coin0, coin1, T), reference, rtol=0.0, atol=1e-14)
+    # the screen's purity bound holds on every string; measured at most
+    # 1.7e-15 below the reference, at strings with F = 1
+    assert np.all(_purity_bound(_gram(q), q.shape[-2]) >= reference - 1e-13)
 
 
 @pytest.mark.parametrize("label", sorted(GRAM_SETS))
@@ -420,3 +426,57 @@ def test_search_result_carries_one_sweep():
     assert hash(res) == hash(brute_force(7, HADAMARD, PAULI_X))
     with pytest.raises(TypeError):
         res.counts[1e-9] = 0
+
+
+def test_purity_bound_over_random_spectra():
+    rng = np.random.default_rng(7)
+    for alpha in (1.0, 0.1, 0.01):  # small alpha crowds the spectra near pure states
+        p = rng.dirichlet([alpha] * 4, 100_000)
+        # a random rotation of diag(p) has the same purity
+        rot = np.linalg.qr(rng.standard_normal((p.shape[0], 4, 4)))[0]
+        gram = np.matmul(rot * p[:, None, :], rot.swapaxes(-1, -2))
+        fid = np.square(np.sqrt(p).sum(axis=-1)) / 4.0
+        assert np.all(_purity_bound(gram, 1) >= fid - _SCREEN_SLACK)
+    # the bound is reached at the spectrum (1/4 + 3d, 1/4 - d, 1/4 - d, 1/4 - d)
+    d = rng.uniform(0.0, 0.25, 1000)
+    p = np.stack([0.25 + 3.0 * d, *([0.25 - d] * 3)], axis=-1)
+    fid = np.square(np.sqrt(p).sum(axis=-1)) / 4.0
+    np.testing.assert_allclose(_purity_bound(p[:, :, None] * np.eye(4), 1), fid, rtol=0.0, atol=1e-12)
+
+
+SCREEN_TOLERANCES = (1e-2, 1e-6, 1e-9, 1e-12)
+
+
+def _assert_screen_is_exact(coin0, coin1, T, workers=(1, 2)):
+    full = enumerate_fidelities(coin0, coin1, T, workers=1)
+    best = full.max()
+    for tol in SCREEN_TOLERANCES:
+        hits = np.nonzero(full > 1.0 - tol)[0]
+        for w in workers:
+            res = brute_force(T, coin0, coin1, tol, workers=w)
+            assert res.best_fidelity == best, (T, tol, w)
+            assert res.best_bits == format(int(np.argmax(full >= best - BEST_TIE)), f"0{T}b")
+            assert res.optimal_bits == tuple(format(int(v), f"0{T}b") for v in hits)
+            assert np.array_equal(res.optimal_fidelities, full[hits]), (T, tol, w)
+            assert dict(res.counts) == {t: int((full > 1.0 - t).sum()) for t in COUNT_TOLERANCES}
+    # the thresholds brute_force passes for those tolerances; a bound stands
+    # for the fidelity only below its threshold
+    for exact_above in {1.0 - max(tol, *COUNT_TOLERANCES) for tol in SCREEN_TOLERANCES}:
+        screened = enumerate_fidelities(coin0, coin1, T, workers=1, exact_above=exact_above)
+        bounds = screened != full
+        assert np.all(screened[bounds] < exact_above)
+        assert np.all(screened[bounds] >= full[bounds] - _SCREEN_SLACK)
+
+
+@pytest.mark.parametrize("label", sorted(GRAM_SETS))
+def test_screened_brute_force_equals_the_full_array(label):
+    # sweeps below 2^14 strings run serially for any worker count
+    coin0, coin1 = GRAM_SETS[label]
+    for T in range(1, 15):
+        _assert_screen_is_exact(coin0, coin1, T, workers=(1,))
+
+
+@pytest.mark.parametrize("label", ["H,I", "H,F", "g:0.4,1.1"])
+def test_screened_brute_force_equals_the_full_array_at_eighteen(label):
+    coin0, coin1 = {**GRAM_SETS, **SYMMETRY_SETS}[label]
+    _assert_screen_is_exact(coin0, coin1, 18)
