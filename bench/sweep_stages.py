@@ -2,21 +2,24 @@
 
 On one worker, at T = 16, 18 and 20 for the {H, 1} set, the script walks
 the sweep's own chunks (walkmeg.search._sweep_stacks) and times, on the
-same stacks: composing prefix and suffix products, the SVD reference for
-the fidelities, the Gram-eigenvector route that the unscreened sweep
-uses, and the two halves of the screened sweep that brute_force runs
-(exact_above = 1 - 1e-6): the Gram matrices with their purity bounds,
-and the eigensolver on the rows that survive, which it counts. It runs
+same stacks: building the step and suffix tables and composing prefix
+and suffix products, the SVD reference for the fidelities, the
+Gram-eigenvector route that the unscreened sweep uses, and the two
+halves of the screened sweep that brute_force runs (exact_above =
+1 - 1e-6): the purity bounds, and the Gram matrices and eigensolver
+of the rows that survive, which it counts. It runs
 three passes, records the largest difference between the SVD and Gram
 routes, and times three whole enumerate_fidelities and brute_force
 calls. Every time is the median of its three. The screen's worst case,
 g:0.32,0.412 at T = 18, where no bound falls below the best, is timed
-the same way. At T = 24, on all workers, it times one whole unscreened
-enumerate_fidelities call, which records the optimal {H, 1} counts, and
-one `walkmeg search brute --T 24` end to end (walkmeg.cli.main in this
-process, output discarded). Times are CPU seconds of this process
-(process_time), with the pooled T = 24 runs also counting their reaped
-workers; wall seconds are given beside them.
+the same way. On all workers it times one whole unscreened T = 24
+enumerate_fidelities call, which records the optimal {H, 1} counts,
+`walkmeg search brute --T 24` and `--T 20` end to end (walkmeg.cli.main
+in this process, output discarded) and brute_force(18, H, I). Times are
+CPU seconds of this process and all its threads (process_time); wall
+seconds are given beside them. A "process_pool_reference" entry already
+in the output file, the same runs timed on a build that swept on a
+process pool, is kept.
 
 Run from the repository root:
 
@@ -33,7 +36,6 @@ import io
 import json
 import os
 import platform
-import resource
 import statistics
 import sys
 import time
@@ -48,11 +50,11 @@ from walkmeg.cli import main as cli_main  # noqa: E402
 from walkmeg.coins import HADAMARD, IDENTITY, rotation_coin  # noqa: E402
 from walkmeg.search import (  # noqa: E402
     _fidelity,
-    _gram,
     _score,
     _screen,
     _sweep_layout,
     _sweep_stacks,
+    _sweep_tables,
     brute_force,
     enumerate_fidelities,
     worker_count,
@@ -60,7 +62,8 @@ from walkmeg.search import (  # noqa: E402
 
 STAGE_T = (16, 18, 20)
 FULL_T = 24
-REPEATS = 3  # passes over the stages and whole one-worker calls per T; medians are reported
+CLI_T = (24, 20)
+REPEATS = 3  # passes over the stages and whole calls per T; medians are reported
 TOLERANCES = (1e-6, 1e-9, 1e-12)
 EXACT_ABOVE = 1.0 - 1e-6  # what brute_force passes at its default tolerance
 WORST_CASE = ("g:0.32,0.412", 18)  # no bound falls below the best: the screen skips nothing
@@ -72,13 +75,8 @@ def _svd_fidelity(q: np.ndarray) -> np.ndarray:
     return np.minimum(np.square(sv.sum(axis=-1)) / (4 * q.shape[-2]), 1.0)
 
 
-def _children_cpu() -> float:
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
-
-
 def _stage_pass(coins, T: int) -> tuple[float, float, float, float, float, float, int]:
-    """CPU seconds of compose, SVD, Gram, screen and scored eigh over every chunk.
+    """CPU seconds of tables and compose, SVD, Gram, screen and scored eigh over every chunk.
 
     Also returns the largest SVD-Gram difference and the number of rows
     the screen passed to the eigensolver.
@@ -87,7 +85,9 @@ def _stage_pass(coins, T: int) -> tuple[float, float, float, float, float, float
     n = 2 * T + 1
     compose = svd = gram_route = screen = scored = 0.0
     worst, rows, best = 0.0, 0, -float("inf")
-    stacks = _sweep_stacks(*coins, T, 0, n_chunks)
+    t0 = time.process_time()
+    stacks = _sweep_stacks(*_sweep_tables(*coins, T), T, 0, n_chunks)
+    compose += time.process_time() - t0
     while True:
         t0 = time.process_time()
         q = next(stacks, None)
@@ -103,22 +103,20 @@ def _stage_pass(coins, T: int) -> tuple[float, float, float, float, float, float
         worst = max(worst, float(np.max(np.abs(fid - ref))))
         q = q.reshape(-1, n, 4)
         t0 = time.process_time()
-        gram = _gram(q)
-        bound, keep, best = _screen(q, gram, EXACT_ABOVE, best)
+        bound, keep, best = _screen(q, EXACT_ABOVE, best)
         screen += time.process_time() - t0
         t0 = time.process_time()
-        best = max(best, _score(q, gram, bound, keep))
+        best = max(best, _score(q, bound, keep))
         scored += time.process_time() - t0
         rows += keep.size
     return compose, svd, gram_route, screen, scored, worst, rows
 
 
-def _pooled(call):
-    """(result, wall seconds, CPU seconds) of one call, reaped pool workers included."""
-    c0, k0, w0 = time.process_time(), _children_cpu(), time.perf_counter()
+def _timed(call):
+    """(result, wall seconds, CPU seconds) of one call."""
+    c0, w0 = time.process_time(), time.perf_counter()
     result = call()
-    wall = time.perf_counter() - w0
-    return result, wall, time.process_time() - c0 + _children_cpu() - k0
+    return result, time.perf_counter() - w0, time.process_time() - c0
 
 
 def stage_times(coins, T: int) -> dict:
@@ -126,8 +124,8 @@ def stage_times(coins, T: int) -> dict:
     compose, svd, gram, screen, scored, worst, rows = zip(
         *(_stage_pass(coins, T) for _ in range(REPEATS))
     )
-    whole = [_pooled(lambda: enumerate_fidelities(*coins, T, workers=1)) for _ in range(REPEATS)]
-    brute = [_pooled(lambda: brute_force(T, *coins, workers=1)) for _ in range(REPEATS)]
+    whole = [_timed(lambda: enumerate_fidelities(*coins, T, workers=1)) for _ in range(REPEATS)]
+    brute = [_timed(lambda: brute_force(T, *coins, workers=1)) for _ in range(REPEATS)]
     fid = whole[0][0]
     return {
         "T": T,
@@ -150,8 +148,8 @@ def stage_times(coins, T: int) -> dict:
 
 
 def full_run(T: int) -> dict:
-    """One whole unscreened pooled sweep: wall and CPU seconds and the optimal counts."""
-    fid, wall, cpu = _pooled(lambda: enumerate_fidelities(HADAMARD, IDENTITY, T))
+    """One whole unscreened sweep on all workers: wall and CPU seconds and the optimal counts."""
+    fid, wall, cpu = _timed(lambda: enumerate_fidelities(HADAMARD, IDENTITY, T))
     return {
         "T": T,
         "workers": worker_count(),
@@ -162,13 +160,23 @@ def full_run(T: int) -> dict:
     }
 
 
+def _medians(label: str, call) -> dict:
+    """Median wall and CPU seconds of REPEATS calls on all workers."""
+    runs = [_timed(call) for _ in range(REPEATS)]
+    return {"command": label, "workers": worker_count(), "repeats": REPEATS,
+            "wall_s": round(statistics.median(w for _, w, _ in runs), 3),
+            "cpu_s": round(statistics.median(c for _, _, c in runs), 3)}
+
+
 def cli_run(T: int) -> dict:
-    """`walkmeg search brute --T T` end to end on all workers, output discarded."""
+    """`walkmeg search brute --T T` end to end, output discarded."""
     argv = ["search", "brute", "--T", str(T)]
-    with contextlib.redirect_stdout(io.StringIO()):
-        _, wall, cpu = _pooled(lambda: cli_main(argv))
-    return {"command": "walkmeg " + " ".join(argv), "workers": worker_count(),
-            "wall_s": round(wall, 3), "cpu_s": round(cpu, 3)}
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_main(argv)
+
+    return _medians("walkmeg " + " ".join(argv), run)
 
 
 def main(argv=None) -> int:
@@ -188,8 +196,10 @@ def main(argv=None) -> int:
     print(json.dumps(worst), flush=True)
     full = full_run(FULL_T)
     print(json.dumps(full), flush=True)
-    cli = cli_run(FULL_T)
-    print(json.dumps(cli), flush=True)
+    cli = [cli_run(T) for T in CLI_T]
+    brute18 = _medians("brute_force(18, H, I)", lambda: brute_force(18, HADAMARD, IDENTITY))
+    for row in (*cli, brute18):
+        print(json.dumps(row), flush=True)
 
     record = {
         "bench": "sweep_stages",
@@ -206,8 +216,12 @@ def main(argv=None) -> int:
         "screen_worst_case_one_worker": worst,
         "full_sweep_all_workers": full,
         "cli_search_brute_all_workers": cli,
+        "brute_force_all_workers": brute18,
     }
-    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    out = Path(args.out)
+    if out.exists() and "process_pool_reference" in (old := json.loads(out.read_text())):
+        record["process_pool_reference"] = old["process_pool_reference"]
+    out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

@@ -46,25 +46,27 @@ enumerate_fidelities(..., exact_above=x) gives the eigensolver only the
 rows whose bound reaches min(x, best - BEST_TIE) - 1e-7, where best is the
 running best of the worker, seeded in its first chunk by the row of the
 largest bound; the other rows keep their bound. The 1e-7 slack covers the
-bound's own round-off, which reached 9.3e-9 near pure spectra. Scored rows
-take the same Gram route, matrix by matrix, so they equal the unscreened
-sweep bit for bit; sweeps of fewer than _GRAM_MIN_STACK strings are not
-screened. brute_force passes x = 1 - max(tolerance, COUNT_TOLERANCES): at
-T=18 on one worker the eigensolver then sees 316 of the 2^17 strings of
-{H,I}, 17 of {H,F} and 6 of g:0.4,1.1. When no bound falls that low, as
-for g:0.32,0.412, it sees them all.
+bound's own round-off, which reached 9.3e-9 near pure spectra. The bound
+takes its Gram matrices from BLAS gemm (see _screen_bound); scored rows
+take the same Gram route as the unscreened sweep, matrix by matrix, so
+they equal it bit for bit; sweeps of fewer than _GRAM_MIN_STACK strings
+are not screened. brute_force passes x = 1 - max(tolerance,
+COUNT_TOLERANCES): at T=18 on one worker the eigensolver then sees 316
+of the 2^17 strings of {H,I}, 17 of {H,F} and 6 of g:0.4,1.1. When no
+bound falls that low, as for g:0.32,0.412, it sees them all.
 
 First-coin symmetry. The first coin acts on the walker at the origin
 before any shift: a unitary on the input coin, to which the target's
 Choi state I/4 is blind. Flipping the first bit leaves F unchanged, so
 the sweep evaluates the 2^(T-1) strings starting with 0 and mirrors them.
 
-The sweep meets in the middle: prefix and suffix products are built once
+The sweep meets in the middle: the step and suffix tables are built once
 and each fixed chunk of prefixes meets all suffixes in one batched real
-matmul. Workers take whole chunks, merged in ascending order, so the
-output (its exact entries, when screened) is byte-identical for any
-worker count. Small sweeps run serially; large ones use a process pool,
-capped by WALKMEG_THREADS.
+matmul. Worker threads share the tables and write whole runs of chunks
+into one output array, so the output (its exact entries, when screened)
+is byte-identical for any worker count. numpy's matmul, einsum and eigh
+release the GIL, so the threads run in parallel; WALKMEG_THREADS caps
+their number, and BLAS may add threads of its own.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ import cmath
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -111,10 +114,6 @@ _CHUNK = 1 << 10
 # n = 9..37 momenta one matrix costs ~8 us by SVD and ~13 us by Gram, the
 # two tie at 8..12 matrices, and 16 cost 50..59 us against 47..53 us.
 _GRAM_MIN_STACK = 16
-# Sweeps of fewer strings run serially. Measured on 2 CPUs: a pool costs
-# ~25 ms of wall time and ~40 ms of CPU to start, and 2^14 strings take
-# ~0.12 s serially, which two workers bring down to ~0.08 s.
-_POOL_MIN_STRINGS = 1 << 14
 # A screened row is scored exactly unless its purity bound lies this far
 # below the threshold. The bound's own round-off, largest near pure
 # spectra, reached 9.3e-9 over 10^6 random spectra crowded there.
@@ -126,13 +125,16 @@ class ResourceLimitError(RuntimeError):
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Effective worker count.
+    """Effective number of sweep threads.
 
-    An explicit request is honored as given; the default is the CPU count.
-    Either way the WALKMEG_THREADS environment variable, when set, caps
-    the result.
+    An explicit request is honored as given; the default is the number of
+    CPUs this process may run on. Either way the WALKMEG_THREADS
+    environment variable, when set, caps the result.
     """
-    count = os.cpu_count() or 1 if requested is None else max(1, int(requested))
+    if requested is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        requested = len(affinity(0)) if affinity else os.cpu_count() or 1
+    count = max(1, int(requested))
     env = os.environ.get("WALKMEG_THREADS")
     if env is not None:
         try:
@@ -185,10 +187,10 @@ def _gram(q: np.ndarray) -> np.ndarray:
     return np.matmul(q.swapaxes(-1, -2), q)
 
 
-def _gram_singular_values(q: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """sigma_j = ||q v_j|| over the eigenvectors v_j of each Gram matrix."""
-    qv = np.matmul(q, np.linalg.eigh(gram)[1])
-    return np.sqrt(np.einsum("...ij,...ij->...j", qv, qv))
+def _gram_fidelity(q: np.ndarray) -> np.ndarray:
+    """F from sigma_j = ||q v_j|| over the eigenvectors v_j of each q^T q."""
+    qv = np.matmul(q, np.linalg.eigh(_gram(q))[1])
+    return _nuclear_fidelity(np.sqrt(np.einsum("...ij,...ij->...j", qv, qv)), q.shape[-2])
 
 
 def _nuclear_fidelity(sv: np.ndarray, n: int) -> np.ndarray:
@@ -204,10 +206,8 @@ def _fidelity(q: np.ndarray) -> np.ndarray:
     call the SVD.
     """
     if math.prod(q.shape[:-2]) >= _GRAM_MIN_STACK:
-        sv = _gram_singular_values(q, _gram(q))
-    else:
-        sv = np.linalg.svd(q, compute_uv=False)
-    return _nuclear_fidelity(sv, q.shape[-2])
+        return _gram_fidelity(q)
+    return _nuclear_fidelity(np.linalg.svd(q, compute_uv=False), q.shape[-2])
 
 
 def _purity_bound(gram: np.ndarray, n: int) -> np.ndarray:
@@ -220,6 +220,17 @@ def _purity_bound(gram: np.ndarray, n: int) -> np.ndarray:
     purity = np.einsum("...ij,...ij->...", gram, gram) / (n * n)
     d = np.sqrt(np.maximum(4.0 * purity - 1.0, 0.0) / 48.0)
     return np.square(np.sqrt(0.25 + 3.0 * d) + 3.0 * np.sqrt(np.maximum(0.25 - d, 0.0))) / 4.0
+
+
+def _screen_bound(q: np.ndarray) -> np.ndarray:
+    """The purity bound of each quaternion matrix q (..., n, 4), as the screen takes it.
+
+    Its Gram matrices multiply q^T by a copy of q, so numpy calls BLAS gemm
+    instead of the syrk it calls for _gram(q): with OpenBLAS, syrk calls
+    from two threads run no faster than from one. The two Gram matrices
+    differ in the last bits, so exact scores keep _gram.
+    """
+    return _purity_bound(np.matmul(q.swapaxes(-1, -2), q.copy()), q.shape[-2])
 
 
 def _row_fidelities(steps: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -256,78 +267,77 @@ def _sweep_layout(T: int) -> tuple[int, int, int]:
     return t_suf, per_chunk, n_pre // per_chunk
 
 
-def _sweep_stacks(coin0, coin1, T: int, chunk_lo: int, chunk_hi: int):
+def _sweep_tables(coin0, coin1, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """(steps, suffix table) of the T-step sweep, shared by all its chunks.
+
+    The suffix table holds, per momentum, the transposed left-multiplication
+    matrices of all suffixes, shape (n, 4, 4 * suffixes).
+    """
+    n, t_suf = 2 * T + 1, _sweep_layout(T)[0]
+    steps = _su2_steps((coin0, coin1), n)
+    suffix = _string_quaternions(steps, _bits_matrix(np.arange(1 << t_suf, dtype=np.uint32), t_suf))
+    return steps, _left_mul(suffix.transpose(1, 0, 2)).transpose(0, 3, 1, 2).reshape(n, 4, -1)
+
+
+def _sweep_stacks(steps, left_t, T: int, chunk_lo: int, chunk_hi: int):
     """Yield the quaternion matrices of each chunk in [chunk_lo, chunk_hi), in order.
 
     Each chunk is one array (prefixes, suffixes, n, 4) of 0-led strings;
     the prefix occupies the high bits, so the chunks run in ascending
-    string order.
+    string order. steps and left_t come from _sweep_tables.
     """
     n = 2 * T + 1
     t_suf, per_chunk, _ = _sweep_layout(T)
     n_suf = 1 << t_suf
-    steps = _su2_steps((coin0, coin1), n)
-    suffix = _string_quaternions(steps, _bits_matrix(np.arange(n_suf, dtype=np.uint32), t_suf))
-    # per momentum, the transposed left-multiplication matrices of all suffixes
-    left_t = _left_mul(suffix.transpose(1, 0, 2)).transpose(0, 3, 1, 2).reshape(n, 4, 4 * n_suf)
     pre_vals = np.arange(chunk_lo * per_chunk, chunk_hi * per_chunk, dtype=np.uint32)
     prefix = _string_quaternions(steps, _bits_matrix(pre_vals, T - t_suf)).transpose(1, 0, 2)
     for lo in range(0, pre_vals.size, per_chunk):
         total = np.matmul(prefix[:, lo : lo + per_chunk], left_t)
-        # (n, prefixes, suffixes, 4): each string's rows move as 4-float blocks
-        total = total.reshape(n, per_chunk, n_suf, 4).transpose(1, 2, 0, 3)
-        yield np.ascontiguousarray(total)
+        # (n, prefixes, suffixes, 4): each string's rows move as 4-float blocks;
+        # the copy lets the product be freed before the chunk is scored
+        total = np.ascontiguousarray(total.reshape(n, per_chunk, n_suf, 4).transpose(1, 2, 0, 3))
+        yield total
 
 
-def _screen(q: np.ndarray, gram: np.ndarray, exact_above: float, best: float):
+def _screen(q: np.ndarray, exact_above: float, best: float):
     """(purity bounds, indices of the rows to score, running best) of one stack.
 
-    q holds the stack's quaternion columns (rows, n, 4) and gram their
-    Gram matrices. A running best of -inf is first seeded with the
-    fidelity of the row of the largest bound.
+    q holds the stack's quaternion columns (rows, n, 4). A running best of
+    -inf is first seeded with the fidelity of the row of the largest bound.
     """
-    n = q.shape[-2]
-    bound = _purity_bound(gram, n)
+    bound = _screen_bound(q)
     if best == -math.inf:
-        top = [int(np.argmax(bound))]
-        best = float(_nuclear_fidelity(_gram_singular_values(q[top], gram[top]), n)[0])
+        best = float(_gram_fidelity(q[[int(np.argmax(bound))]])[0])
     return bound, np.flatnonzero(bound >= min(exact_above, best - BEST_TIE) - _SCREEN_SLACK), best
 
 
-def _score(q: np.ndarray, gram: np.ndarray, fid: np.ndarray, scored: np.ndarray) -> float:
+def _score(q: np.ndarray, fid: np.ndarray, scored: np.ndarray) -> float:
     """Overwrite fid at the scored rows with their fidelities; return the largest, or -inf."""
     if not scored.size:
         return -math.inf
     if scored.size < fid.size:  # copy the survivors only when some rows drop out
-        q, gram = q[scored], gram[scored]
-    fid[scored] = exact = _nuclear_fidelity(_gram_singular_values(q, gram), q.shape[-2])
+        q = q[scored]
+    fid[scored] = exact = _gram_fidelity(q)
     return float(exact.max())
 
 
-def _sweep(
-    coin0, coin1, T: int, chunk_lo: int, chunk_hi: int, exact_above: float | None = None
-) -> np.ndarray:
-    """Fidelities of the 0-led strings whose prefixes lie in chunks [chunk_lo, chunk_hi).
+def _sweep(steps, left_t, T: int, exact_above: float | None, out, chunk_lo: int, chunk_hi: int):
+    """Write the fidelities of the chunks in [chunk_lo, chunk_hi) to their rows of out.
 
-    The result is a contiguous slice of the sweep in ascending string order.
-    With exact_above set, rows whose purity bound stays below both
+    out holds one row per chunk, its 0-led strings in ascending order. With
+    exact_above set, entries whose purity bound stays below both
     exact_above and the running best minus BEST_TIE hold their bound
     (see "Screen" in the module docstring).
     """
-    t_suf, per_chunk, _ = _sweep_layout(T)
-    n = 2 * T + 1
-    out = np.empty((chunk_hi - chunk_lo, per_chunk << t_suf))
     best = -math.inf
-    for i, q in enumerate(_sweep_stacks(coin0, coin1, T, chunk_lo, chunk_hi)):
+    for i, q in enumerate(_sweep_stacks(steps, left_t, T, chunk_lo, chunk_hi), start=chunk_lo):
         if exact_above is None or out.shape[1] < _GRAM_MIN_STACK:
             out[i] = _fidelity(q).ravel()
             continue
-        q = q.reshape(-1, n, 4)
-        gram = _gram(q)
-        fid, scored, best = _screen(q, gram, exact_above, best)
-        best = max(best, _score(q, gram, fid, scored))
+        q = q.reshape(-1, *q.shape[-2:])
+        fid, scored, best = _screen(q, exact_above, best)
+        best = max(best, _score(q, fid, scored))
         out[i] = fid
-    return out.ravel()
 
 
 def enumerate_fidelities(
@@ -343,9 +353,10 @@ def enumerate_fidelities(
     Bit strings map to indices with the first step as the most significant
     bit. Only strings starting with 0 are evaluated; the other half is
     their mirror image (first-coin symmetry). Raises ResourceLimitError
-    outside 1 <= T <= BRUTE_FORCE_MAX_T. Worker partitions are whole
-    chunks concatenated in ascending order, so without exact_above any
-    worker count yields the identical array.
+    outside 1 <= T <= BRUTE_FORCE_MAX_T. Up to worker_count(workers)
+    threads, the calling one included, each fill one run of whole chunks
+    of the array, so without exact_above any worker count yields the
+    identical array.
 
     exact_above=None scores every string exactly. With a value, a string
     is scored exactly when its purity bound reaches exact_above or comes
@@ -362,22 +373,26 @@ def enumerate_fidelities(
         raise ResourceLimitError(
             f"brute force supports 1 <= T <= {BRUTE_FORCE_MAX_T}, got {T}"
         )
-    coin0, coin1 = require_coin(coin0), require_coin(coin1)
+    tables = _sweep_tables(require_coin(coin0), require_coin(coin1), T)
     n_chunks = _sweep_layout(T)[2]
+    fid = np.empty(1 << T)
+    half = fid[: fid.size // 2].reshape(n_chunks, -1)
     n_jobs = min(worker_count(workers), n_chunks)
-    if n_jobs <= 1 or (1 << (T - 1)) < _POOL_MIN_STRINGS:
-        half = _sweep(coin0, coin1, T, 0, n_chunks, exact_above)
+    sweep = partial(_sweep, *tables, T, exact_above, half)
+    if n_jobs <= 1:
+        sweep(0, n_chunks)
     else:
-        import multiprocessing
+        from concurrent.futures import ThreadPoolExecutor
 
-        bounds = np.linspace(0, n_chunks, n_jobs + 1).astype(int)
-        jobs = [
-            (coin0, coin1, T, int(lo), int(hi), exact_above)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        with multiprocessing.Pool(n_jobs) as pool:
-            half = np.concatenate(pool.starmap(_sweep, jobs))
-    return np.concatenate([half, half])
+        bounds = np.linspace(0, n_chunks, n_jobs + 1).astype(int).tolist()
+        # the calling thread takes the first run: one thread fewer to start,
+        # and its memory is reused
+        with ThreadPoolExecutor(n_jobs - 1) as pool:
+            rest = pool.map(sweep, bounds[1:], bounds[2:])  # submitted at once
+            sweep(bounds[0], bounds[1])
+            list(rest)
+    fid[half.size :] = fid[: half.size]
+    return fid
 
 
 # ---------------------------------------------------------------------------

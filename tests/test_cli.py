@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, determinism, replay."""
 
+import os
 import shlex
 import subprocess
 import sys
@@ -315,6 +316,19 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("walkmeg ")
+
+
+def test_search_brute_does_not_depend_on_blas_threads(capsys):
+    # BLAS may add threads of its own to the sweep's; a top set must not move with them
+    args = ["search", "brute", "--T", "16", "--set", "g:0.4,1.1"]
+    code, out = run_cli(capsys, *args)
+    proc = subprocess.run(
+        [sys.executable, "-m", "walkmeg.cli", *args],
+        capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert code == proc.returncode == 0
+    assert proc.stdout == out
 
 
 def test_angle_set_spec(capsys):

@@ -1,6 +1,8 @@
 """Exhaustive search, annealing and structural reports."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -30,8 +32,8 @@ from walkmeg.search import (
     _GRAM_MIN_STACK,
     _SCREEN_SLACK,
     _bits_matrix,
-    _gram,
     _purity_bound,
+    _screen_bound,
     _string_quaternions,
     _su2_steps,
     batch_fidelities,
@@ -92,10 +94,28 @@ def test_brute_force_deterministic_and_worker_independent():
     a = brute_force(6, HADAMARD, IDENTITY)
     b = brute_force(6, HADAMARD, IDENTITY)
     assert a == b
-    for T in (6, 15):
+    # three workers split 16 and 128 chunks unevenly
+    for T in (6, 12, 15, 18):
         one = enumerate_fidelities(HADAMARD, IDENTITY, T, workers=1)
-        two = enumerate_fidelities(HADAMARD, IDENTITY, T, workers=2)
-        assert one.tobytes() == two.tobytes()
+        for workers in (2, 3):
+            got = enumerate_fidelities(HADAMARD, IDENTITY, T, workers=workers)
+            assert got.tobytes() == one.tobytes(), (T, workers)
+
+
+def test_threads_share_the_sweep_without_losing_a_chunk():
+    # seven threads on the 16 chunks of T=15, more than there are cores, switching
+    # between them as often as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for x in (None, 1.0 - 1e-6):
+            one = enumerate_fidelities(HADAMARD, IDENTITY, 15, workers=1, exact_above=x)
+            many = enumerate_fidelities(HADAMARD, IDENTITY, 15, workers=7, exact_above=x)
+            if x is not None:  # only the entries above x are exact for every split
+                one, many = np.where(one > x, one, 0.0), np.where(many > x, many, 0.0)
+            assert many.tobytes() == one.tobytes(), x
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_optimal_counts_multiple_tolerances():
@@ -123,6 +143,16 @@ def test_worker_count_env_cap(monkeypatch):
     monkeypatch.setenv("WALKMEG_THREADS", "zebra")
     with pytest.raises(ValueError):
         worker_count(4)
+
+
+def test_worker_count_default_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("WALKMEG_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert worker_count() == 1
+    assert worker_count(4) == 4
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count() == 64
 
 
 def test_anneal_fixed_coins_reaches_optimum():
@@ -210,12 +240,14 @@ def test_anneal_equal_coins_stops_after_the_start_string(monkeypatch):
 
 
 def test_coins_are_validated_at_the_search_boundary(monkeypatch):
-    import multiprocessing
+    import concurrent.futures
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a bad coin must be rejected before any pool starts")
+        raise AssertionError("a bad coin must be rejected before any worker starts")
 
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    with pytest.raises(AssertionError, match="before any worker starts"):
+        enumerate_fidelities(HADAMARD, IDENTITY, 15, workers=2)
     bad = 2 * IDENTITY
     with pytest.raises(ValueError, match="not unitary"):
         enumerate_fidelities(HADAMARD, bad, 15, workers=2)
@@ -325,14 +357,21 @@ def test_sweep_worker_independent_at_eighteen(sweep18):
 
 
 def test_small_sweeps_start_no_pool(monkeypatch):
-    import multiprocessing
+    import concurrent.futures
 
+    # sweeps of T <= 11 are one chunk, so they run on the calling thread alone
     expected = enumerate_fidelities(HADAMARD, IDENTITY, 12, workers=1)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a 2^12 sweep must not start a pool")
+        raise AssertionError("a one-chunk sweep must not start a pool")
 
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    with monkeypatch.context() as patch:
+        patch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        for T in range(1, 12):
+            got = enumerate_fidelities(HADAMARD, IDENTITY, T, workers=2)
+            assert got.tobytes() == enumerate_fidelities(HADAMARD, IDENTITY, T, workers=1).tobytes()
+        with pytest.raises(AssertionError, match="must not start a pool"):
+            enumerate_fidelities(HADAMARD, IDENTITY, 12, workers=2)
     got = enumerate_fidelities(HADAMARD, IDENTITY, 12, workers=2)
     assert got.tobytes() == expected.tobytes()
 
@@ -378,7 +417,7 @@ def test_gram_route_matches_svd_reference(label):
     np.testing.assert_allclose(enumerate_fidelities(coin0, coin1, T), reference, rtol=0.0, atol=1e-14)
     # the screen's purity bound holds on every string; measured at most
     # 1.7e-15 below the reference, at strings with F = 1
-    assert np.all(_purity_bound(_gram(q), q.shape[-2]) >= reference - 1e-13)
+    assert np.all(_screen_bound(q) >= reference - 1e-13)
 
 
 @pytest.mark.parametrize("label", sorted(GRAM_SETS))
@@ -447,7 +486,7 @@ def test_purity_bound_over_random_spectra():
 SCREEN_TOLERANCES = (1e-2, 1e-6, 1e-9, 1e-12)
 
 
-def _assert_screen_is_exact(coin0, coin1, T, workers=(1, 2)):
+def _assert_screen_is_exact(coin0, coin1, T, workers=(1, 2, 3)):
     full = enumerate_fidelities(coin0, coin1, T, workers=1)
     best = full.max()
     for tol in SCREEN_TOLERANCES:
@@ -470,10 +509,9 @@ def _assert_screen_is_exact(coin0, coin1, T, workers=(1, 2)):
 
 @pytest.mark.parametrize("label", sorted(GRAM_SETS))
 def test_screened_brute_force_equals_the_full_array(label):
-    # sweeps below 2^14 strings run serially for any worker count
     coin0, coin1 = GRAM_SETS[label]
     for T in range(1, 15):
-        _assert_screen_is_exact(coin0, coin1, T, workers=(1,))
+        _assert_screen_is_exact(coin0, coin1, T)
 
 
 @pytest.mark.parametrize("label", ["H,I", "H,F", "g:0.4,1.1"])
