@@ -3,27 +3,33 @@
 On one worker, at T = 16, 18 and 20 for the {H, 1} set, the script walks
 the sweep's own chunks (walkmeg.search._sweep_stacks) and times, on the
 same stacks: building the step and suffix tables and composing prefix
-and suffix products, the SVD reference for the fidelities, the
-Gram-eigenvector route that the unscreened sweep uses, and the two
-halves of the screened sweep that brute_force runs (exact_above =
-1 - 1e-6): the purity bounds, and the Gram matrices and eigensolver
-of the rows that survive, which it counts. It runs
-three passes, records the largest difference between the SVD and Gram
-routes, and times three whole enumerate_fidelities and brute_force
-calls. Every time is the median of its three. The screen's worst case,
-g:0.32,0.412 at T = 18, where no bound falls below the best, is timed
-the same way. On all workers it times one whole unscreened T = 24
-enumerate_fidelities call, which records the optimal {H, 1} counts,
-`walkmeg search brute --T 24` and `--T 20` end to end (walkmeg.cli.main
-in this process, output discarded) and brute_force(18, H, I). Times are
-CPU seconds of this process and all its threads (process_time); wall
-seconds are given beside them. A "process_pool_reference" entry already
-in the output file, the same runs timed on a build that swept on a
-process pool, is kept.
+and suffix products, the SVD reference for the fidelities, and
+walkmeg.search._stack_fidelities, the stage-4 routine of every sweep,
+once unscreened and once screened as brute_force runs it (exact_above =
+1 - 1e-6). It counts the rows the screen scores (screened entries equal
+to the unscreened ones). It runs three passes, records the largest
+difference between the SVD and Gram routes, and times three whole
+enumerate_fidelities and brute_force calls. Every time is the median of
+its three. The screen's worst case, g:0.32,0.412 at T = 18, where no
+bound falls below the best, is timed the same way. On all workers it
+times one whole unscreened T = 24 enumerate_fidelities call, which
+records the optimal {H, 1} counts, `walkmeg search brute --T 24` and
+`--T 20` end to end (walkmeg.cli.main in this process, output
+discarded) and brute_force(18, H, I). Times are CPU seconds of this
+process and all its threads (process_time); wall seconds are given
+beside them.
+
+`walkmeg search landscape --T 12 --grid 33` and `--T 10 --grid 17` are
+timed in fresh processes (python -m walkmeg.cli, output discarded, CPU
+from the reaped children). With --reference DIR, a checkout of another
+commit, its `src` tree runs the same commands, alternating with this
+tree's, so the two are measured back to back. A "process_pool_reference"
+entry already in the output file, the brute rows timed on a build that
+swept on a process pool, is kept.
 
 Run from the repository root:
 
-    python3 bench/sweep_stages.py [--out BENCH_sweep.json]
+    python3 bench/sweep_stages.py [--out BENCH_sweep.json] [--reference DIR]
 
 Needs only numpy and the standard library.
 """
@@ -36,7 +42,9 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -49,9 +57,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from walkmeg.cli import main as cli_main  # noqa: E402
 from walkmeg.coins import HADAMARD, IDENTITY, rotation_coin  # noqa: E402
 from walkmeg.search import (  # noqa: E402
-    _fidelity,
-    _score,
-    _screen,
+    _stack_fidelities,
     _sweep_layout,
     _sweep_stacks,
     _sweep_tables,
@@ -67,6 +73,7 @@ REPEATS = 3  # passes over the stages and whole calls per T; medians are reporte
 TOLERANCES = (1e-6, 1e-9, 1e-12)
 EXACT_ABOVE = 1.0 - 1e-6  # what brute_force passes at its default tolerance
 WORST_CASE = ("g:0.32,0.412", 18)  # no bound falls below the best: the screen skips nothing
+LANDSCAPE = (("12", "33"), ("10", "17"))  # (--T, --grid) of the timed landscape scans
 
 
 def _svd_fidelity(q: np.ndarray) -> np.ndarray:
@@ -75,15 +82,14 @@ def _svd_fidelity(q: np.ndarray) -> np.ndarray:
     return np.minimum(np.square(sv.sum(axis=-1)) / (4 * q.shape[-2]), 1.0)
 
 
-def _stage_pass(coins, T: int) -> tuple[float, float, float, float, float, float, int]:
-    """CPU seconds of tables and compose, SVD, Gram, screen and scored eigh over every chunk.
+def _stage_pass(coins, T: int) -> tuple[float, float, float, float, float, int]:
+    """CPU seconds of tables and compose, SVD, unscreened and screened stage 4 over every chunk.
 
     Also returns the largest SVD-Gram difference and the number of rows
-    the screen passed to the eigensolver.
+    the screen scored: its entries equal to the unscreened ones.
     """
     n_chunks = _sweep_layout(T)[2]
-    n = 2 * T + 1
-    compose = svd = gram_route = screen = scored = 0.0
+    compose = svd = unscreened = screened = 0.0
     worst, rows, best = 0.0, 0, -float("inf")
     t0 = time.process_time()
     stacks = _sweep_stacks(*_sweep_tables(*coins, T), T, 0, n_chunks)
@@ -98,18 +104,14 @@ def _stage_pass(coins, T: int) -> tuple[float, float, float, float, float, float
         ref = _svd_fidelity(q)
         svd += time.process_time() - t0
         t0 = time.process_time()
-        fid = _fidelity(q)
-        gram_route += time.process_time() - t0
+        fid = _stack_fidelities(q)[0]
+        unscreened += time.process_time() - t0
         worst = max(worst, float(np.max(np.abs(fid - ref))))
-        q = q.reshape(-1, n, 4)
         t0 = time.process_time()
-        bound, keep, best = _screen(q, EXACT_ABOVE, best)
-        screen += time.process_time() - t0
-        t0 = time.process_time()
-        best = max(best, _score(q, bound, keep))
-        scored += time.process_time() - t0
-        rows += keep.size
-    return compose, svd, gram_route, screen, scored, worst, rows
+        bounded, best = _stack_fidelities(q, EXACT_ABOVE, best)
+        screened += time.process_time() - t0
+        rows += int(np.count_nonzero(bounded == fid))
+    return compose, svd, unscreened, screened, worst, rows
 
 
 def _timed(call):
@@ -121,7 +123,7 @@ def _timed(call):
 
 def stage_times(coins, T: int) -> dict:
     """Medians over REPEATS passes of each stage, and of the whole one-worker calls."""
-    compose, svd, gram, screen, scored, worst, rows = zip(
+    compose, svd, unscreened, screened, worst, rows = zip(
         *(_stage_pass(coins, T) for _ in range(REPEATS))
     )
     whole = [_timed(lambda: enumerate_fidelities(*coins, T, workers=1)) for _ in range(REPEATS)]
@@ -133,10 +135,9 @@ def stage_times(coins, T: int) -> dict:
         "chunks": _sweep_layout(T)[2],
         "compose_cpu_s_median": round(statistics.median(compose), 4),
         "svd_reference_cpu_s_median": round(statistics.median(svd), 4),
-        "gram_route_cpu_s_median": round(statistics.median(gram), 4),
+        "unscreened_cpu_s_median": round(statistics.median(unscreened), 4),
         "max_abs_gram_minus_svd": max(worst),
-        "screen_gram_and_bound_cpu_s_median": round(statistics.median(screen), 4),
-        "screen_scored_eigh_cpu_s_median": round(statistics.median(scored), 4),
+        "screened_cpu_s_median": round(statistics.median(screened), 4),
         "screen_rows_scored": rows[0],
         "enumerate_cpu_s_median": round(statistics.median(c for _, _, c in whole), 4),
         "enumerate_wall_s_median": round(statistics.median(w for _, w, _ in whole), 4),
@@ -179,9 +180,50 @@ def cli_run(T: int) -> dict:
     return _medians("walkmeg " + " ".join(argv), run)
 
 
+def _child_run(src: Path, argv: list[str]) -> tuple[float, float]:
+    """(wall, CPU seconds) of `python -m walkmeg.cli argv` on the walkmeg in src."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    c0 = resource.getrusage(resource.RUSAGE_CHILDREN)
+    w0 = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "walkmeg.cli", *argv], env=env,
+                   stdout=subprocess.DEVNULL, check=True)
+    wall = time.perf_counter() - w0
+    c1 = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return wall, c1.ru_utime - c0.ru_utime + c1.ru_stime - c0.ru_stime
+
+
+def landscape_runs(reference: Path | None) -> list[dict]:
+    """Median wall and CPU seconds of each LANDSCAPE scan, this tree and the reference alternating."""
+    trees = {"this_tree": ROOT / "src"}
+    if reference is not None:
+        trees["reference"] = reference / "src"
+    rows = []
+    for T, grid in LANDSCAPE:
+        argv = ["search", "landscape", "--T", T, "--grid", grid]
+        runs = {label: [] for label in trees}
+        for _ in range(REPEATS):
+            for label, src in trees.items():
+                runs[label].append(_child_run(src, argv))
+        row = {"command": "walkmeg " + " ".join(argv), "workers": worker_count(), "repeats": REPEATS}
+        for label, timings in runs.items():
+            row[label] = {"wall_s": round(statistics.median(w for w, _ in timings), 3),
+                          "cpu_s": round(statistics.median(c for _, c in timings), 3)}
+        rows.append(row)
+    return rows
+
+
+def _commit(checkout: Path) -> str:
+    """The short commit hash of a git checkout, or its directory name."""
+    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else checkout.name
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_sweep.json"))
+    parser.add_argument("--reference", type=Path, default=None,
+                        help="checkout of another commit whose landscape scans to time alongside")
     args = parser.parse_args(argv)
 
     enumerate_fidelities(HADAMARD, IDENTITY, 12, workers=1)  # warm imports and BLAS
@@ -198,7 +240,8 @@ def main(argv=None) -> int:
     print(json.dumps(full), flush=True)
     cli = [cli_run(T) for T in CLI_T]
     brute18 = _medians("brute_force(18, H, I)", lambda: brute_force(18, HADAMARD, IDENTITY))
-    for row in (*cli, brute18):
+    landscape = landscape_runs(args.reference)
+    for row in (*cli, brute18, *landscape):
         print(json.dumps(row), flush=True)
 
     record = {
@@ -217,6 +260,10 @@ def main(argv=None) -> int:
         "full_sweep_all_workers": full,
         "cli_search_brute_all_workers": cli,
         "brute_force_all_workers": brute18,
+        "cli_search_landscape_all_workers": {
+            "reference_commit": None if args.reference is None else _commit(args.reference),
+            "runs": landscape,
+        },
     }
     out = Path(args.out)
     if out.exists() and "process_pool_reference" in (old := json.loads(out.read_text())):

@@ -11,7 +11,8 @@ bloch           channel image of a sphere of initial coin states
 Every run emits a single table (CSV by default, JSON via --format json)
 whose metadata echoes the normalized command line, so any output file can
 be reproduced byte for byte by re-running the echoed command. Exit codes:
-0 success, 2 usage error, 3 resource guard, 4 verification failure.
+0 success, 2 usage error (an unwritable --out too), 3 resource guard,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -234,16 +235,23 @@ def _table_bits(T: int, set_label: str) -> str | None:
     return None
 
 
-def _resolve_bits(
-    choice: str, T: int, coin0: np.ndarray, coin1: np.ndarray, set_label: str
-) -> str:
-    literal = choice not in ("table", "brute-best")
-    if literal and (not choice or set(choice) - {"0", "1"}):
+def _is_literal(choice: str, T: int) -> bool:
+    """Whether --bits is a literal; a literal must be a 0/1 string of length T."""
+    if choice in ("table", "brute-best"):
+        return False
+    if not choice or set(choice) - {"0", "1"}:
         raise ValueError(
             f"--bits must be 'table', 'brute-best' or a 0/1 string, got {choice!r}"
         )
-    if literal and len(choice) != T:
+    if len(choice) != T:
         raise ValueError(f"--bits literal has length {len(choice)}, but T is {T}")
+    return True
+
+
+def _resolve_bits(
+    choice: str, T: int, coin0: np.ndarray, coin1: np.ndarray, set_label: str
+) -> str:
+    literal = _is_literal(choice, T)
     if "," not in set_label and not set_label.startswith("g:"):
         # single-coin set: every bit string walks identically
         return "0" * T
@@ -319,6 +327,8 @@ def _cmd_fidelity_curve(ns) -> tuple[ResultTable, int]:
 
 def _cmd_search(ns) -> tuple[ResultTable, int]:
     T = _parse_T(ns.T)
+    if ns.mode == "landscape" and ns.set is not None:
+        raise ValueError("search landscape scans the coin angles and takes no --set")
     tokens = ["search", ns.mode, "--T", ns.T]
     if ns.set is not None:
         tokens += ["--set", ns.set]
@@ -431,7 +441,9 @@ def _cmd_bloch(ns) -> tuple[ResultTable, int]:
     metadata["set"] = label
 
     if T == 0:
-        # zero steps leave the coin untouched: the identity-channel self-test
+        # zero steps leave the coin untouched: the identity-channel self-test;
+        # no literal has length 0, so this refuses every literal
+        _is_literal(ns.bits, T)
         points = fibonacci_sphere(n_samples)
         inputs, outputs = points, points
         metadata["bits"] = ""
@@ -478,7 +490,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if ns.out:
-        table.write(ns.out, ns.format)
+        try:
+            table.write(ns.out, ns.format)
+        except OSError as exc:
+            print(f"error: cannot write --out {ns.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(table.to_text(ns.format))
     return code

@@ -46,14 +46,16 @@ enumerate_fidelities(..., exact_above=x) gives the eigensolver only the
 rows whose bound reaches min(x, best - BEST_TIE) - 1e-7, where best is the
 running best of the worker, seeded in its first chunk by the row of the
 largest bound; the other rows keep their bound. The 1e-7 slack covers the
-bound's own round-off, which reached 9.3e-9 near pure spectra. The bound
-takes its Gram matrices from BLAS gemm (see _screen_bound); scored rows
-take the same Gram route as the unscreened sweep, matrix by matrix, so
-they equal it bit for bit; sweeps of fewer than _GRAM_MIN_STACK strings
-are not screened. brute_force passes x = 1 - max(tolerance,
-COUNT_TOLERANCES): at T=18 on one worker the eigensolver then sees 316
-of the 2^17 strings of {H,I}, 17 of {H,F} and 6 of g:0.4,1.1. When no
-bound falls that low, as for g:0.32,0.412, it sees them all.
+bound's own round-off, which reached 9.3e-9 near pure spectra. There is
+one Gram form (_gram): the bound, the seed row and the scored rows all
+read the Gram matrices of the stack, which the unscreened sweep hands to
+the eigensolver too, so a scored row equals the unscreened sweep bit for
+bit; sweeps of fewer than _GRAM_MIN_STACK strings are not screened.
+brute_force passes x = 1 - max(tolerance, COUNT_TOLERANCES): at T=18 on
+one worker the eigensolver then sees 316 of the 2^17 strings of {H,I},
+17 of {H,F} and 6 of g:0.4,1.1. When no bound falls that low, as for
+g:0.32,0.412, it sees them all. landscape_scan passes x = inf, so only
+the strings that can reach the running best are scored.
 
 First-coin symmetry. The first coin acts on the walker at the origin
 before any shift: a unitary on the input coin, to which the target's
@@ -183,31 +185,23 @@ def _string_quaternions(steps: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
 
 def _gram(q: np.ndarray) -> np.ndarray:
-    """The 4x4 Gram matrices q^T q of quaternion columns q (..., n, 4)."""
-    return np.matmul(q.swapaxes(-1, -2), q)
+    """The 4x4 Gram matrices q^T q of quaternion columns q (..., n, 4).
+
+    q^T times a copy of q goes to BLAS gemm; q^T q of one buffer would go
+    to syrk, whose calls from two threads run no faster than from one.
+    """
+    return np.matmul(q.swapaxes(-1, -2), q.copy())
 
 
-def _gram_fidelity(q: np.ndarray) -> np.ndarray:
-    """F from sigma_j = ||q v_j|| over the eigenvectors v_j of each q^T q."""
-    qv = np.matmul(q, np.linalg.eigh(_gram(q))[1])
+def _eigen_fidelity(q: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """F from sigma_j = ||q v_j|| over the eigenvectors v_j of each Gram matrix of q."""
+    qv = np.matmul(q, np.linalg.eigh(gram)[1])
     return _nuclear_fidelity(np.sqrt(np.einsum("...ij,...ij->...j", qv, qv)), q.shape[-2])
 
 
 def _nuclear_fidelity(sv: np.ndarray, n: int) -> np.ndarray:
     """F = (sum_j sigma_j)^2 / (4n), clamped to 1."""
     return np.minimum(np.square(sv.sum(axis=-1)) / (4 * n), 1.0)
-
-
-def _fidelity(q: np.ndarray) -> np.ndarray:
-    """F = ||A||_*^2 / (4n), clamped to 1, for quaternion columns q (..., n, 4).
-
-    Stacks of _GRAM_MIN_STACK or more take sigma_j = ||q v_j|| over the
-    eigenvectors v_j of q^T q (see the module docstring); smaller stacks
-    call the SVD.
-    """
-    if math.prod(q.shape[:-2]) >= _GRAM_MIN_STACK:
-        return _gram_fidelity(q)
-    return _nuclear_fidelity(np.linalg.svd(q, compute_uv=False), q.shape[-2])
 
 
 def _purity_bound(gram: np.ndarray, n: int) -> np.ndarray:
@@ -222,22 +216,44 @@ def _purity_bound(gram: np.ndarray, n: int) -> np.ndarray:
     return np.square(np.sqrt(0.25 + 3.0 * d) + 3.0 * np.sqrt(np.maximum(0.25 - d, 0.0))) / 4.0
 
 
-def _screen_bound(q: np.ndarray) -> np.ndarray:
-    """The purity bound of each quaternion matrix q (..., n, 4), as the screen takes it.
+def _stack_fidelities(
+    q: np.ndarray, exact_above: float | None = None, best: float = -math.inf
+) -> tuple[np.ndarray, float]:
+    """(F of each quaternion matrix of the stack q (rows, n, 4), running best).
 
-    Its Gram matrices multiply q^T by a copy of q, so numpy calls BLAS gemm
-    instead of the syrk it calls for _gram(q): with OpenBLAS, syrk calls
-    from two threads run no faster than from one. The two Gram matrices
-    differ in the last bits, so exact scores keep _gram.
+    Stacks of fewer than _GRAM_MIN_STACK rows take one SVD per row, larger
+    ones the eigenvectors of one Gram matrix per row. With exact_above set,
+    a Gram stack is screened: rows whose purity bound stays below
+    min(exact_above, best - BEST_TIE) - _SCREEN_SLACK keep their bound, a
+    best of -inf is first seeded by the row of the largest bound (see
+    "Screen" in the module docstring), and the running best returned is
+    the largest of best and the exact scores. Other stacks return best
+    as given.
     """
-    return _purity_bound(np.matmul(q.swapaxes(-1, -2), q.copy()), q.shape[-2])
+    n = q.shape[-2]
+    if q.shape[0] < _GRAM_MIN_STACK:
+        return _nuclear_fidelity(np.linalg.svd(q, compute_uv=False), n), best
+    gram = _gram(q)
+    if exact_above is None:
+        return _eigen_fidelity(q, gram), best
+    fid = _purity_bound(gram, n)
+    if best == -math.inf:
+        seed = [int(np.argmax(fid))]
+        best = float(_eigen_fidelity(q[seed], gram[seed])[0])
+    scored = np.flatnonzero(fid >= min(exact_above, best - BEST_TIE) - _SCREEN_SLACK)
+    if scored.size:
+        if scored.size < fid.size:  # copy the survivors only when some rows drop out
+            q, gram = q[scored], gram[scored]
+        fid[scored] = exact = _eigen_fidelity(q, gram)
+        best = max(best, float(exact.max()))
+    return fid, best
 
 
 def _row_fidelities(steps: np.ndarray, bits: np.ndarray) -> np.ndarray:
     out = np.empty(bits.shape[0])
     for lo in range(0, bits.shape[0], _CHUNK):
         part = bits[lo : lo + _CHUNK]
-        out[lo : lo + part.shape[0]] = _fidelity(_string_quaternions(steps, part))
+        out[lo : lo + part.shape[0]] = _stack_fidelities(_string_quaternions(steps, part))[0]
     return out
 
 
@@ -282,43 +298,19 @@ def _sweep_tables(coin0, coin1, T: int) -> tuple[np.ndarray, np.ndarray]:
 def _sweep_stacks(steps, left_t, T: int, chunk_lo: int, chunk_hi: int):
     """Yield the quaternion matrices of each chunk in [chunk_lo, chunk_hi), in order.
 
-    Each chunk is one array (prefixes, suffixes, n, 4) of 0-led strings;
-    the prefix occupies the high bits, so the chunks run in ascending
-    string order. steps and left_t come from _sweep_tables.
+    Each chunk is one array (strings, n, 4) of 0-led strings; the prefix
+    occupies the high bits, so the strings and the chunks run in ascending
+    order. steps and left_t come from _sweep_tables.
     """
     n = 2 * T + 1
     t_suf, per_chunk, _ = _sweep_layout(T)
-    n_suf = 1 << t_suf
     pre_vals = np.arange(chunk_lo * per_chunk, chunk_hi * per_chunk, dtype=np.uint32)
     prefix = _string_quaternions(steps, _bits_matrix(pre_vals, T - t_suf)).transpose(1, 0, 2)
     for lo in range(0, pre_vals.size, per_chunk):
         total = np.matmul(prefix[:, lo : lo + per_chunk], left_t)
-        # (n, prefixes, suffixes, 4): each string's rows move as 4-float blocks;
-        # the copy lets the product be freed before the chunk is scored
-        total = np.ascontiguousarray(total.reshape(n, per_chunk, n_suf, 4).transpose(1, 2, 0, 3))
-        yield total
-
-
-def _screen(q: np.ndarray, exact_above: float, best: float):
-    """(purity bounds, indices of the rows to score, running best) of one stack.
-
-    q holds the stack's quaternion columns (rows, n, 4). A running best of
-    -inf is first seeded with the fidelity of the row of the largest bound.
-    """
-    bound = _screen_bound(q)
-    if best == -math.inf:
-        best = float(_gram_fidelity(q[[int(np.argmax(bound))]])[0])
-    return bound, np.flatnonzero(bound >= min(exact_above, best - BEST_TIE) - _SCREEN_SLACK), best
-
-
-def _score(q: np.ndarray, fid: np.ndarray, scored: np.ndarray) -> float:
-    """Overwrite fid at the scored rows with their fidelities; return the largest, or -inf."""
-    if not scored.size:
-        return -math.inf
-    if scored.size < fid.size:  # copy the survivors only when some rows drop out
-        q = q[scored]
-    fid[scored] = exact = _gram_fidelity(q)
-    return float(exact.max())
+        # (n, strings, 4): each string's rows move as 4-float blocks; the
+        # copy lets the product be freed before the chunk is scored
+        yield np.ascontiguousarray(total.reshape(n, -1, 4).transpose(1, 0, 2))
 
 
 def _sweep(steps, left_t, T: int, exact_above: float | None, out, chunk_lo: int, chunk_hi: int):
@@ -331,13 +323,7 @@ def _sweep(steps, left_t, T: int, exact_above: float | None, out, chunk_lo: int,
     """
     best = -math.inf
     for i, q in enumerate(_sweep_stacks(steps, left_t, T, chunk_lo, chunk_hi), start=chunk_lo):
-        if exact_above is None or out.shape[1] < _GRAM_MIN_STACK:
-            out[i] = _fidelity(q).ravel()
-            continue
-        q = q.reshape(-1, *q.shape[-2:])
-        fid, scored, best = _screen(q, exact_above, best)
-        best = max(best, _score(q, fid, scored))
-        out[i] = fid
+        out[i], best = _stack_fidelities(q, exact_above, best)
 
 
 def enumerate_fidelities(
@@ -366,7 +352,9 @@ def enumerate_fidelities(
     up to ~1e-8 of round-off. So every entry above exact_above, the
     maximum and every entry within BEST_TIE of it are exact and equal
     the unscreened array bit for bit; which of the other entries are
-    bounds depends on the worker split.
+    bounds depends on the worker split. exact_above=math.inf scores only
+    the strings that can reach their worker's running best, which is
+    enough for the maximum.
     """
     T = int(T)
     if not 1 <= T <= BRUTE_FORCE_MAX_T:
@@ -612,8 +600,9 @@ def landscape_scan(
 ) -> list[LandscapePoint]:
     """Per-point brute-force maxima over a (gamma0, gamma1) grid.
 
-    Every grid pair is scanned over all 2^T bit strings. Guarded at
-    T <= 12 because the cost is len(grid)^2 * 2^T evaluations.
+    Every grid pair is scanned over all 2^T bit strings, screened with
+    exact_above=math.inf, so each maximum is the unscreened one bit for
+    bit. Guarded at T <= 12 because the cost grows as len(grid)^2 * 2^T.
     """
     T = int(T)
     if not 1 <= T <= LANDSCAPE_MAX_T:
@@ -629,7 +618,7 @@ def landscape_scan(
     points = []
     for g0 in gammas:
         for g1 in gammas:
-            fid = enumerate_fidelities(coins[g0], coins[g1], T, workers)
+            fid = enumerate_fidelities(coins[g0], coins[g1], T, workers, exact_above=math.inf)
             points.append(LandscapePoint(g0, g1, float(fid.max())))
     return points
 

@@ -220,10 +220,29 @@ def test_optimal_set_beyond_the_row_limit_is_refused(capsys, monkeypatch):
     ["simulate", "--T", "3", "--set", "H", "--bits", "xyz"],
     ["simulate", "--T", "3", "--set", "H", "--bits", "0101"],
     ["fidelity-curve", "--T-range", "2:3", "--set", "H", "--bits", "01010"],
+    ["bloch", "--T", "0", "--bits", "xyz"],
+    ["bloch", "--T", "0", "--bits", "01"],
 ])
 def test_single_coin_set_checks_a_literal_bit_string(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_search_landscape_refuses_a_coin_set(capsys):
+    # the scan sweeps the coin angles itself; a --set would be echoed but unused
+    assert main(["search", "landscape", "--T", "2", "--grid", "2", "--set", "H,I"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
+    # a directory cannot be opened for writing
+    assert main(["search", "brute", "--T", "3", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --out {tmp_path}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_single_coin_set_walks_the_first_coin(capsys):

@@ -32,8 +32,8 @@ from walkmeg.search import (
     _GRAM_MIN_STACK,
     _SCREEN_SLACK,
     _bits_matrix,
+    _gram,
     _purity_bound,
-    _screen_bound,
     _string_quaternions,
     _su2_steps,
     batch_fidelities,
@@ -257,6 +257,18 @@ def test_coins_are_validated_at_the_search_boundary(monkeypatch):
         batch_fidelities(HADAMARD, bad, np.zeros((1, 3), dtype=int))
 
 
+@pytest.mark.parametrize("T", [4, 5, 8, 12])
+def test_screened_landscape_maxima_equal_the_full_sweep(T):
+    # T = 4 sweeps stacks below _GRAM_MIN_STACK, T = 5 is the first screened
+    # size; the grid's diagonal has equal coins, where every string ties
+    grid = np.linspace(0.0, math.pi / 2.0, 5)
+    points = landscape_scan(T, grid)
+    assert [(p.gamma0, p.gamma1) for p in points] == [(g0, g1) for g0 in grid for g1 in grid]
+    for p in points:
+        full = enumerate_fidelities(rotation_coin(p.gamma0), rotation_coin(p.gamma1), T)
+        assert p.best_fidelity == full.max(), (T, p)
+
+
 def test_landscape_small_grid_maxima():
     # at T = 3 only the {gamma=0, gamma=pi/4} pairs reach unit fidelity;
     # the pi/2 pairs (a sigma_x coin) first get there at T = 5
@@ -417,7 +429,7 @@ def test_gram_route_matches_svd_reference(label):
     np.testing.assert_allclose(enumerate_fidelities(coin0, coin1, T), reference, rtol=0.0, atol=1e-14)
     # the screen's purity bound holds on every string; measured at most
     # 1.7e-15 below the reference, at strings with F = 1
-    assert np.all(_screen_bound(q) >= reference - 1e-13)
+    assert np.all(_purity_bound(_gram(q), q.shape[-2]) >= reference - 1e-13)
 
 
 @pytest.mark.parametrize("label", sorted(GRAM_SETS))
