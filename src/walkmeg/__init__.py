@@ -12,166 +12,26 @@ the {Hadamard, identity} coin set through an independent momentum-space
 route.
 """
 
-from .channel import (
-    BlochImage,
-    NotCompletelyPositiveError,
-    bloch_image,
-    chi_to_ptm,
-    coin_channel_ptm,
-    depolarizing_chi,
-    process_fidelity,
-    ptm_to_chi,
-    sequence_fidelity,
-    validate_chi,
-)
-from .coins import (
-    FOURIER,
-    HADAMARD,
-    IDENTITY,
-    PAULI_X,
-    PAULI_Z,
-    CoinParameters,
-    build_coin,
-    is_unitary,
-    named_coin,
-    rotation_coin,
-)
-from .metrics import (
-    DEFAULT_ENSEMBLE,
-    EnsembleStatistics,
-    MomentSeries,
-    average_entanglement,
-    ensemble_entropies,
-    entanglement_entropy,
-    fit_diffusion_exponent,
-    second_moment,
-    shannon_entropy,
-    walk_moment_series,
-)
-from .momentum import (
-    FOURIER_TABLE_RANGE,
-    AffineBlochVector,
-    NoOptimalSequenceError,
-    SequencePattern,
-    fourier_table_sequence,
-    generate_table_sequence,
-    iter_family_bits,
-    momentum_final_bloch,
-    pattern_bits,
-    pattern_from_bits,
-    superoperator_at,
-    theorem_predicate,
-)
-from .results import ResultTable, format_float, parse_table
-from .search import (
-    AnnealConfig,
-    AnnealResult,
-    ClosureRow,
-    LandscapePoint,
-    ResourceLimitError,
-    SearchResult,
-    anneal,
-    brute_force,
-    enumerate_fidelities,
-    extension_closure_report,
-    landscape_scan,
-    optimal_counts,
-    worker_count,
-)
-from .sphere import fibonacci_sphere, sphere_angles
-from .walk import (
-    TOMOGRAPHY_INPUT_NAMES,
-    CoinSequence,
-    InitialCoinState,
-    ProbabilityDistribution,
-    WalkerState,
-    evolve,
-    initial_state,
-    position_distribution,
-    reduced_coin_state,
-    step,
-)
+from . import channel, coins, metrics, momentum, results, search, sphere, walk
+from .coins import *
+from .walk import *
+from .channel import *
+from .momentum import *
+from .metrics import *
+from .search import *
+from .results import *
+from .sphere import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # coins
-    "CoinParameters",
-    "build_coin",
-    "rotation_coin",
-    "named_coin",
-    "is_unitary",
-    "HADAMARD",
-    "IDENTITY",
-    "FOURIER",
-    "PAULI_X",
-    "PAULI_Z",
-    # walk
-    "InitialCoinState",
-    "CoinSequence",
-    "WalkerState",
-    "ProbabilityDistribution",
-    "TOMOGRAPHY_INPUT_NAMES",
-    "initial_state",
-    "step",
-    "evolve",
-    "reduced_coin_state",
-    "position_distribution",
-    # channel
-    "NotCompletelyPositiveError",
-    "BlochImage",
-    "coin_channel_ptm",
-    "chi_to_ptm",
-    "ptm_to_chi",
-    "depolarizing_chi",
-    "validate_chi",
-    "process_fidelity",
-    "sequence_fidelity",
-    "bloch_image",
-    # momentum
-    "NoOptimalSequenceError",
-    "AffineBlochVector",
-    "SequencePattern",
-    "superoperator_at",
-    "momentum_final_bloch",
-    "theorem_predicate",
-    "pattern_bits",
-    "pattern_from_bits",
-    "iter_family_bits",
-    "generate_table_sequence",
-    "fourier_table_sequence",
-    "FOURIER_TABLE_RANGE",
-    # metrics
-    "DEFAULT_ENSEMBLE",
-    "EnsembleStatistics",
-    "MomentSeries",
-    "entanglement_entropy",
-    "ensemble_entropies",
-    "average_entanglement",
-    "shannon_entropy",
-    "second_moment",
-    "walk_moment_series",
-    "fit_diffusion_exponent",
-    # search
-    "ResourceLimitError",
-    "SearchResult",
-    "AnnealConfig",
-    "AnnealResult",
-    "LandscapePoint",
-    "ClosureRow",
-    "brute_force",
-    "enumerate_fidelities",
-    "optimal_counts",
-    "anneal",
-    "landscape_scan",
-    "extension_closure_report",
-    "worker_count",
-    # results
-    "ResultTable",
-    "format_float",
-    "parse_table",
-    # sphere
-    "fibonacci_sphere",
-    "sphere_angles",
+    *coins.__all__,
+    *walk.__all__,
+    *channel.__all__,
+    *momentum.__all__,
+    *metrics.__all__,
+    *search.__all__,
+    *results.__all__,
+    *sphere.__all__,
 ]

@@ -36,7 +36,6 @@ from .walk import (
 
 __all__ = [
     "NotCompletelyPositiveError",
-    "PAULIS",
     "BlochImage",
     "coin_channel_ptm",
     "chi_to_ptm",

@@ -10,7 +10,11 @@ bloch           channel image of a sphere of initial coin states
 
 Every run emits a single table (CSV by default, JSON via --format json)
 whose metadata echoes the normalized command line, so any output file can
-be reproduced byte for byte by re-running the echoed command. Exit codes:
+be reproduced byte for byte by re-running the echoed command. The echo is
+the subcommand, then every argument its parser declares that holds a
+value, in declaration order: a positional as its bare value, an option as
+its first option string and its value as given. Defaults are included;
+--out appears only when it names a file. Exit codes:
 0 success, 2 usage error (an unwritable --out too), 3 resource guard,
 4 verification failure.
 """
@@ -69,6 +73,10 @@ from .walk import (
 __all__ = ["main"]
 
 _VERIFY_MAX_T = 12
+# Defaults of the two options that apply only in some modes; each handler
+# fills them in where they apply, so the echo carries them only there.
+_LANDSCAPE_GRID_DEFAULT = "17"
+_VERIFY_MAX_T_DEFAULT = "10"
 
 # Resource guards: a larger request exits with code 3 before any work.
 SIMULATE_MAX_T = 1000  # T rows of 2T+5 columns
@@ -94,13 +102,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", default="0", help="seed for stochastic modes (default 0)")
-        p.add_argument("--tol", default="1e-9", help="optimality tolerance (default 1e-9)")
-        p.add_argument(
-            "--format", default="csv", choices=("csv", "json"), help="output format"
-        )
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
+    def subcommand(name, handler, help):
+        """Add a subcommand; the returned add_argument records each argument for the echo."""
+        p = sub.add_parser(name, help=help)
+        echoed = []
+        p.set_defaults(handler=handler, echoed=echoed)
+
+        def add(*flags, **kwargs):
+            echoed.append(p.add_argument(*flags, **kwargs))
+
+        return add
+
+    def common(add) -> None:
+        add("--seed", default="0", help="seed for stochastic modes (default 0)")
+        add("--tol", default="1e-9", help="optimality tolerance (default 1e-9)")
+        add("--format", default="csv", choices=("csv", "json"), help="output format")
+        add("--out", default=None, help="output path (default: stdout)")
 
     set_help = "coin set: one or two of H,I,F,X,Z or angles g:GAMMA0,GAMMA1"
     bits_help = (
@@ -109,56 +126,42 @@ def _build_parser() -> argparse.ArgumentParser:
         "literal 0/1 string of length T (0 selects the first coin)"
     )
 
-    p = sub.add_parser("simulate", help="evolve one sequence and tabulate per-step data")
-    p.add_argument("--T", required=True, help="number of steps")
-    p.add_argument("--set", default="H,I", help=set_help)
-    p.add_argument("--bits", default="table", help=bits_help)
-    p.add_argument("--init", default="H", help="initial coin state H|V|+|L or theta,phi")
-    common(p)
+    add = subcommand("simulate", _cmd_simulate, "evolve one sequence and tabulate per-step data")
+    add("--T", required=True, help="number of steps")
+    add("--set", default="H,I", help=set_help)
+    add("--bits", default="table", help=bits_help)
+    add("--init", default="H", help="initial coin state H|V|+|L or theta,phi")
+    common(add)
 
-    p = sub.add_parser("fidelity-curve", help="sequence fidelity for each T in a range")
-    p.add_argument("--T-range", dest="T_range", required=True, help="inclusive range LO:HI")
-    p.add_argument("--set", default="H,I", help=set_help)
-    p.add_argument("--bits", default="table", help=bits_help)
-    common(p)
+    add = subcommand("fidelity-curve", _cmd_fidelity_curve, "sequence fidelity for each T in a range")
+    add("--T-range", dest="T_range", required=True, help="inclusive range LO:HI")
+    add("--set", default="H,I", help=set_help)
+    add("--bits", default="table", help=bits_help)
+    common(add)
 
-    p = sub.add_parser("search", help="optimize bit strings (and coin angles)")
-    p.add_argument("mode", choices=("brute", "anneal", "landscape"))
-    p.add_argument("--T", required=True, help="number of steps")
-    p.add_argument(
-        "--set",
-        default=None,
-        help=set_help + " (anneal without --set optimizes the angles too)",
-    )
-    p.add_argument("--grid", default="17", help="landscape grid size per axis (default 17)")
-    common(p)
+    add = subcommand("search", _cmd_search, "optimize bit strings (and coin angles)")
+    add("mode", choices=("brute", "anneal", "landscape"))
+    add("--T", required=True, help="number of steps")
+    add("--set", default=None, help=set_help + " (anneal without --set optimizes the angles too)")
+    add("--grid", default=None,
+        help=f"landscape grid size per axis (default {_LANDSCAPE_GRID_DEFAULT}; landscape only)")
+    common(add)
 
-    p = sub.add_parser("verify", help="check closed-form conditions against fidelity")
-    p.add_argument(
-        "--max-T",
-        dest="max_T",
-        default="10",
-        help=f"exhaustive family check up to this length (<= {_VERIFY_MAX_T})",
-    )
-    p.add_argument(
-        "--pattern",
-        default=None,
-        help="single run-length pattern l1,l2 or l1,l2,l3 instead of the sweep",
-    )
-    common(p)
+    add = subcommand("verify", _cmd_verify, "check closed-form conditions against fidelity")
+    add("--max-T", dest="max_T", default=None,
+        help=f"exhaustive family check up to this length (<= {_VERIFY_MAX_T}, "
+        f"default {_VERIFY_MAX_T_DEFAULT})")
+    add("--pattern", default=None,
+        help="single run-length pattern l1,l2 or l1,l2,l3 instead of the sweep")
+    common(add)
 
-    p = sub.add_parser("bloch", help="channel image of a sphere of coin states")
-    p.add_argument("--T", required=True, help="number of steps (0 = identity self-test)")
-    p.add_argument("--set", default="H,I", help=set_help)
-    p.add_argument("--bits", default="table", help=bits_help)
-    p.add_argument(
-        "--ensemble",
-        "--n",
-        dest="ensemble",
-        default=str(DEFAULT_ENSEMBLE),
-        help=f"number of sphere samples (default {DEFAULT_ENSEMBLE})",
-    )
-    common(p)
+    add = subcommand("bloch", _cmd_bloch, "channel image of a sphere of coin states")
+    add("--T", required=True, help="number of steps (0 = identity self-test)")
+    add("--set", default="H,I", help=set_help)
+    add("--bits", default="table", help=bits_help)
+    add("--ensemble", "--n", dest="ensemble", default=str(DEFAULT_ENSEMBLE),
+        help=f"number of sphere samples (default {DEFAULT_ENSEMBLE})")
+    common(add)
 
     return parser
 
@@ -261,19 +264,17 @@ def _resolve_bits(
     return bits if bits is not None else brute_force(T, coin0, coin1).best_bits
 
 
-def _metadata(tokens: list[str], seed_raw: str) -> dict:
+def _metadata(ns) -> dict:
+    tokens = [ns.command]
+    for action in ns.echoed:
+        value = getattr(ns, action.dest)
+        if value:
+            tokens += [*action.option_strings[:1], value]
     return {
         "tool": f"walkmeg {__version__}",
         "command": shlex.join(tokens),
-        "seed": int(seed_raw),
+        "seed": int(ns.seed),
     }
-
-
-def _common_tokens(ns) -> list[str]:
-    tokens = ["--seed", ns.seed, "--tol", ns.tol, "--format", ns.format]
-    if ns.out:
-        tokens += ["--out", ns.out]
-    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +287,7 @@ def _cmd_simulate(ns) -> tuple[ResultTable, int]:
     coin0, coin1, label = _parse_set(ns.set)
     bits = _resolve_bits(ns.bits, T, coin0, coin1, label)
     init = _parse_init(ns.init)
-    tokens = ["simulate", "--T", ns.T, "--set", ns.set, "--bits", ns.bits,
-              "--init", ns.init] + _common_tokens(ns)
-    metadata = _metadata(tokens, ns.seed)
+    metadata = _metadata(ns)
     metadata["set"] = label
     metadata["bits"] = bits
 
@@ -315,9 +314,7 @@ def _cmd_fidelity_curve(ns) -> tuple[ResultTable, int]:
     lo, hi = _parse_T_range(ns.T_range)
     _guard("fidelity-curve --T-range", hi, FIDELITY_CURVE_MAX_T)
     coin0, coin1, label = _parse_set(ns.set)
-    tokens = ["fidelity-curve", "--T-range", ns.T_range, "--set", ns.set,
-              "--bits", ns.bits] + _common_tokens(ns)
-    table = ResultTable(("T", "set", "bits", "fidelity"), metadata=_metadata(tokens, ns.seed))
+    table = ResultTable(("T", "set", "bits", "fidelity"), metadata=_metadata(ns))
     for T in range(lo, hi + 1):
         bits = _resolve_bits(ns.bits, T, coin0, coin1, label)
         fid = sequence_fidelity(CoinSequence(coin0, coin1, bits))
@@ -327,15 +324,14 @@ def _cmd_fidelity_curve(ns) -> tuple[ResultTable, int]:
 
 def _cmd_search(ns) -> tuple[ResultTable, int]:
     T = _parse_T(ns.T)
-    if ns.mode == "landscape" and ns.set is not None:
+    if ns.mode != "landscape":
+        if ns.grid is not None:
+            raise ValueError(f"--grid applies to search landscape only, not search {ns.mode}")
+    elif ns.set is not None:
         raise ValueError("search landscape scans the coin angles and takes no --set")
-    tokens = ["search", ns.mode, "--T", ns.T]
-    if ns.set is not None:
-        tokens += ["--set", ns.set]
-    if ns.mode == "landscape":
-        tokens += ["--grid", ns.grid]
-    tokens += _common_tokens(ns)
-    metadata = _metadata(tokens, ns.seed)
+    elif ns.grid is None:
+        ns.grid = _LANDSCAPE_GRID_DEFAULT
+    metadata = _metadata(ns)
     metadata["mode"] = ns.mode
 
     if ns.mode == "brute":
@@ -381,13 +377,12 @@ def _cmd_search(ns) -> tuple[ResultTable, int]:
 
 
 def _cmd_verify(ns) -> tuple[ResultTable, int]:
-    tokens = ["verify"]
-    if ns.pattern is not None:
-        tokens += ["--pattern", ns.pattern]
-    else:
-        tokens += ["--max-T", ns.max_T]
-    tokens += _common_tokens(ns)
-    metadata = _metadata(tokens, ns.seed)
+    if ns.pattern is None:
+        if ns.max_T is None:
+            ns.max_T = _VERIFY_MAX_T_DEFAULT
+    elif ns.max_T is not None:
+        raise ValueError("verify takes --pattern or --max-T, not both")
+    metadata = _metadata(ns)
 
     if ns.pattern is not None:
         patterns = [SequencePattern(tuple(int(v) for v in ns.pattern.split(",")))]
@@ -435,9 +430,7 @@ def _cmd_bloch(ns) -> tuple[ResultTable, int]:
     if n_samples < 1:
         raise ValueError("--ensemble must be >= 1")
     _guard("bloch --ensemble", n_samples, BLOCH_MAX_SAMPLES)
-    tokens = ["bloch", "--T", ns.T, "--set", ns.set, "--bits", ns.bits,
-              "--ensemble", ns.ensemble] + _common_tokens(ns)
-    metadata = _metadata(tokens, ns.seed)
+    metadata = _metadata(ns)
     metadata["set"] = label
 
     if T == 0:
@@ -462,15 +455,6 @@ def _cmd_bloch(ns) -> tuple[ResultTable, int]:
     return table, 0
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "fidelity-curve": _cmd_fidelity_curve,
-    "search": _cmd_search,
-    "verify": _cmd_verify,
-    "bloch": _cmd_bloch,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -481,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # every subcommand takes --tol, so it is checked once for all of them
         ns.tolerance = _parse_tol(ns.tol)
-        table, code = _HANDLERS[ns.command](ns)
+        table, code = ns.handler(ns)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -23,7 +23,6 @@ __all__ = [
     "rotation_coin",
     "named_coin",
     "is_unitary",
-    "require_coin",
     "HADAMARD",
     "IDENTITY",
     "FOURIER",

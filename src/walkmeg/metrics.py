@@ -25,6 +25,7 @@ from .walk import (
 )
 
 __all__ = [
+    "DEFAULT_ENSEMBLE",
     "EnsembleStatistics",
     "MomentSeries",
     "entanglement_entropy",

@@ -90,16 +90,7 @@ class ResultTable:
     # -- JSON ----------------------------------------------------------------
 
     def to_json(self) -> str:
-        def encode(value):
-            if isinstance(value, float):
-                return json.loads(format_float(value))
-            return value
-
-        payload = {
-            "metadata": {k: encode(v) for k, v in self.metadata.items()},
-            "columns": list(self.columns),
-            "rows": [[encode(v) for v in row] for row in self.rows],
-        }
+        payload = {"metadata": self.metadata, "columns": self.columns, "rows": self.rows}
         return _dump_json(payload) + "\n"
 
     def to_text(self, fmt: str) -> str:
@@ -139,7 +130,8 @@ def _dump_json(value, indent: int = 0) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format_float(value)
+        # JSON prints negative zero (a pure state's entropy) as 0; the CSV keeps -0
+        return format_float(value + 0.0)
     return json.dumps(value)
 
 

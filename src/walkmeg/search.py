@@ -93,6 +93,8 @@ __all__ = [
     "LandscapePoint",
     "ClosureRow",
     "brute_force",
+    "enumerate_fidelities",
+    "optimal_counts",
     "anneal",
     "landscape_scan",
     "extension_closure_report",

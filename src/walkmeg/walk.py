@@ -86,7 +86,7 @@ _NAMED_STATES = {
     "L": (math.pi / 2.0, math.pi / 2.0),
 }
 
-TOMOGRAPHY_INPUT_NAMES = ("H", "V", "+", "L")
+TOMOGRAPHY_INPUT_NAMES = tuple(_NAMED_STATES)
 
 
 @dataclass(frozen=True)

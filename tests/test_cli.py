@@ -228,9 +228,16 @@ def test_single_coin_set_checks_a_literal_bit_string(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_search_landscape_refuses_a_coin_set(capsys):
-    # the scan sweeps the coin angles itself; a --set would be echoed but unused
-    assert main(["search", "landscape", "--T", "2", "--grid", "2", "--set", "H,I"]) == 2
+# an option the mode would ignore is refused rather than echoed but unused
+@pytest.mark.parametrize("argv", [
+    # the scan sweeps the coin angles itself
+    ["search", "landscape", "--T", "2", "--grid", "2", "--set", "H,I"],
+    ["search", "brute", "--T", "3", "--grid", "3"],
+    ["search", "anneal", "--T", "3", "--set", "H,I", "--grid", "3"],
+    ["verify", "--pattern", "3,2", "--max-T", "5"],
+], ids=["landscape-set", "brute-grid", "anneal-grid", "verify-pattern-max-T"])
+def test_an_option_the_mode_ignores_is_refused(argv, capsys):
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
@@ -318,14 +325,28 @@ def test_replay_property(capsys):
         ("search", "anneal", "--T", "3", "--seed", "5", "--set", "H,I"),
         ("bloch", "--T", "3", "--set", "H,I", "--bits", "table", "--n", "8"),
         ("verify", "--max-T", "4"),
+        ("fidelity-curve", "--T-range", "2:5", "--set", "H,X"),
+        ("search", "brute", "--T", "6", "--set", "g:0.4,1.1"),
+        ("search", "landscape", "--T", "2"),
+        ("verify", "--pattern", "3,2"),
+        ("verify",),
+        ("bloch", "--T", "0", "--n", "4"),
+        ("simulate", "--T", "3", "--set", "H,X", "--bits", "brute-best", "--init", "1.0,2.0",
+         "--format", "json"),
     ]
+    echoes = {}
     for args in commands:
         code, out = run_cli(capsys, *args)
         assert code == 0
-        echoed = parse_table(out).metadata["command"]
+        echoed = echoes[args] = parse_table(out).metadata["command"]
         code2, out2 = run_cli(capsys, *shlex.split(echoed))
         assert code2 == 0
         assert out2 == out
+    # a default that applies in one mode only is echoed there
+    assert " --grid 17 " in echoes[("search", "landscape", "--T", "2")]
+    assert echoes[("verify",)].startswith("verify --max-T 10 ")
+    assert "--max-T" not in echoes[("verify", "--pattern", "3,2")]
+    assert "--grid" not in echoes[("search", "brute", "--T", "6", "--set", "g:0.4,1.1")]
 
 
 def test_console_entry_point():

@@ -70,6 +70,14 @@ def test_floats_have_seventeen_significant_digits():
     assert "0.66666666666666663" in table.to_json()
 
 
+def test_json_prints_negative_zero_as_zero():
+    # a pure state's entropy is -0.0; the CSV keeps the sign, the JSON never has
+    table = ResultTable(("S_E",), metadata={"m": -0.0})
+    table.append(-0.0)
+    assert table.to_csv().splitlines()[-1] == "-0"
+    assert "-0" not in table.to_json()
+
+
 def test_write_and_read_file(tmp_path):
     table = sample_table()
     path = tmp_path / "out.csv"
