@@ -57,6 +57,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from walkmeg.cli import main as cli_main  # noqa: E402
 from walkmeg.coins import HADAMARD, IDENTITY, rotation_coin  # noqa: E402
 from walkmeg.search import (  # noqa: E402
+    COUNT_TOLERANCES,
     _stack_fidelities,
     _sweep_layout,
     _sweep_stacks,
@@ -70,7 +71,6 @@ STAGE_T = (16, 18, 20)
 FULL_T = 24
 CLI_T = (24, 20)
 REPEATS = 3  # passes over the stages and whole calls per T; medians are reported
-TOLERANCES = (1e-6, 1e-9, 1e-12)
 EXACT_ABOVE = 1.0 - 1e-6  # what brute_force passes at its default tolerance
 WORST_CASE = ("g:0.32,0.412", 18)  # no bound falls below the best: the screen skips nothing
 LANDSCAPE = (("12", "33"), ("10", "17"))  # (--T, --grid) of the timed landscape scans
@@ -156,7 +156,7 @@ def full_run(T: int) -> dict:
         "workers": worker_count(),
         "wall_s": round(wall, 3),
         "cpu_s": round(cpu, 3),
-        "optimal_counts": {f"{tol:.0e}": int((fid > 1.0 - tol).sum()) for tol in TOLERANCES},
+        "optimal_counts": {f"{tol:.0e}": int((fid > 1.0 - tol).sum()) for tol in COUNT_TOLERANCES},
         "best_suboptimal": float(fid[fid <= 1.0 - 1e-6].max()),
     }
 

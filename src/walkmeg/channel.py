@@ -148,8 +148,12 @@ def depolarizing_chi(eta: float) -> np.ndarray:
     )
 
 
-def validate_chi(chi: np.ndarray, psd_tol: float = 1e-9) -> np.ndarray:
-    """Check Hermiticity, trace 1 and positivity; return the array."""
+# Most negative chi eigenvalue validate_chi accepts as round-off.
+_PSD_TOL = 1e-9
+
+
+def validate_chi(chi: np.ndarray) -> np.ndarray:
+    """Check Hermiticity, trace 1 and positivity (to _PSD_TOL); return the array."""
     chi = np.asarray(chi, dtype=np.complex128)
     if chi.shape != (4, 4):
         raise ValueError(f"chi matrix must be 4x4, got {chi.shape}")
@@ -158,9 +162,9 @@ def validate_chi(chi: np.ndarray, psd_tol: float = 1e-9) -> np.ndarray:
     if abs(np.trace(chi).real - 1.0) > 1e-10:
         raise ValueError("chi matrix trace differs from 1 by more than 1e-10")
     lam = np.linalg.eigvalsh(chi)
-    if float(lam.min()) < -psd_tol:
+    if float(lam.min()) < -_PSD_TOL:
         raise ValueError(
-            f"chi eigenvalue {lam.min():.3e} below -{psd_tol:g}; not positive semidefinite"
+            f"chi eigenvalue {lam.min():.3e} below -{_PSD_TOL:g}; not positive semidefinite"
         )
     return chi
 

@@ -62,6 +62,7 @@ from .search import (
 )
 from .sphere import fibonacci_sphere
 from .walk import (
+    TOMOGRAPHY_INPUT_NAMES,
     CoinSequence,
     InitialCoinState,
     initial_state,
@@ -84,6 +85,7 @@ FIDELITY_CURVE_MAX_T = BRUTE_FORCE_MAX_T  # a curve point may need the exhaustiv
 ANNEAL_MAX_T = 24  # up to 540k proposals (10 restarts), each O(T^2)
 LANDSCAPE_MAX_GRID = 33  # grid^2 sweeps; 33 refines the default 17 by halving the step
 VERIFY_PATTERN_MAX_T = 4096
+BLOCH_MAX_T = 4096  # four tomography walks of O(T^2) work each
 BLOCH_MAX_SAMPLES = 1 << 16
 
 
@@ -130,7 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("--T", required=True, help="number of steps")
     add("--set", default="H,I", help=set_help)
     add("--bits", default="table", help=bits_help)
-    add("--init", default="H", help="initial coin state H|V|+|L or theta,phi")
+    add("--init", default="H",
+        help=f"initial coin state {'|'.join(TOMOGRAPHY_INPUT_NAMES)} or theta,phi")
     common(add)
 
     add = subcommand("fidelity-curve", _cmd_fidelity_curve, "sequence fidelity for each T in a range")
@@ -177,8 +180,7 @@ def _parse_set(spec: str) -> tuple[np.ndarray, np.ndarray, str]:
         for g in (g0, g1):
             if not 0.0 <= g <= math.pi / 2.0 + 1e-12:
                 raise ValueError(f"coin angles must lie in [0, pi/2], got {g}")
-        label = f"g:{format_float(g0)},{format_float(g1)}"
-        return rotation_coin(g0), rotation_coin(g1), label
+        return rotation_coin(g0), rotation_coin(g1), _angle_label(g0, g1)
     names = [tok.strip().upper() for tok in text.split(",") if tok.strip()]
     if len(names) == 1:
         coin = named_coin(names[0])
@@ -186,6 +188,11 @@ def _parse_set(spec: str) -> tuple[np.ndarray, np.ndarray, str]:
     if len(names) == 2:
         return named_coin(names[0]), named_coin(names[1]), ",".join(names)
     raise ValueError(f"coin set must be one or two names or g:a,b, got {spec!r}")
+
+
+def _angle_label(g0: float, g1: float) -> str:
+    """The canonical --set label g:GAMMA0,GAMMA1 of a pair of rotation angles."""
+    return f"g:{format_float(g0)},{format_float(g1)}"
 
 
 def _parse_init(spec: str) -> InitialCoinState:
@@ -302,7 +309,7 @@ def _cmd_simulate(ns) -> tuple[ResultTable, int]:
         padded[T - t : T + t + 1] = dist.probabilities
         table.append(
             t,
-            *(float(p) for p in padded),
+            *padded.tolist(),
             entanglement_entropy(reduced_coin_state(state)),
             shannon_entropy(dist, t),
             second_moment(dist),
@@ -354,7 +361,7 @@ def _cmd_search(ns) -> tuple[ResultTable, int]:
         metadata["restarts"] = config.restarts
         if ns.set is None:
             result = anneal(T, config)
-            label = f"g:{format_float(result.gamma0)},{format_float(result.gamma1)}"
+            label = _angle_label(result.gamma0, result.gamma1)
         else:
             coin0, coin1, label = _parse_set(ns.set)
             result = anneal(T, config, coins=(coin0, coin1))
@@ -402,29 +409,28 @@ def _cmd_verify(ns) -> tuple[ResultTable, int]:
         rows = [[int(b) for b in bits] for bits in group]
         fidelities.extend(batch_fidelities(hadamard, identity, rows).tolist())
     table = ResultTable(("pattern", "predicate", "fidelity", "agree"), metadata=metadata)
-    offenders = []
+    disagreements = 0
     for pattern, fidelity in zip(patterns, fidelities):
         predicted = theorem_predicate(pattern)
-        measured = fidelity > 1.0 - ns.tolerance
-        agree = predicted == measured
+        agree = predicted == (fidelity > 1.0 - ns.tolerance)
         text = ",".join(str(v) for v in pattern.ls)
         table.append(text, "true" if predicted else "false", fidelity,
                      "true" if agree else "false")
         if not agree:
-            offenders.append((text, predicted, fidelity))
-    metadata["disagreements"] = len(offenders)
-    for text, predicted, fidelity in offenders:
-        print(
-            f"disagreement: pattern {text} predicted "
-            f"{'optimal' if predicted else 'suboptimal'} but fidelity is "
-            f"{format_float(fidelity)}",
-            file=sys.stderr,
-        )
-    return table, 0 if not offenders else 4
+            disagreements += 1
+            print(
+                f"disagreement: pattern {text} predicted "
+                f"{'optimal' if predicted else 'suboptimal'} but fidelity is "
+                f"{format_float(fidelity)}",
+                file=sys.stderr,
+            )
+    metadata["disagreements"] = disagreements
+    return table, 0 if not disagreements else 4
 
 
 def _cmd_bloch(ns) -> tuple[ResultTable, int]:
     T = _parse_T(ns.T, minimum=0)
+    _guard("bloch --T", T, BLOCH_MAX_T)
     coin0, coin1, label = _parse_set(ns.set)
     n_samples = int(ns.ensemble)
     if n_samples < 1:

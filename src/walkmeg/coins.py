@@ -33,6 +33,12 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
+def _frozen(matrix) -> np.ndarray:
+    out = np.array(matrix, dtype=np.complex128)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class CoinParameters:
     """Angles (xi, gamma, zeta) of a general coin, canonicalized to [0, 2pi)."""
@@ -73,26 +79,12 @@ def build_coin(params: CoinParameters) -> np.ndarray:
     sg = math.sin(params.gamma)
     exi = complex(math.cos(params.xi), math.sin(params.xi))
     eze = complex(math.cos(params.zeta), math.sin(params.zeta))
-    coin = np.array(
-        [
-            [exi * cg, eze * sg],
-            [sg / eze, -cg / exi],
-        ],
-        dtype=np.complex128,
-    )
-    coin.flags.writeable = False
-    return coin
+    return _frozen([[exi * cg, eze * sg], [sg / eze, -cg / exi]])
 
 
 def rotation_coin(gamma: float) -> np.ndarray:
     """One-parameter coin C(gamma) = C(0, gamma, 0), real-valued."""
     return build_coin(CoinParameters(0.0, gamma, 0.0))
-
-
-def _frozen(matrix) -> np.ndarray:
-    out = np.array(matrix, dtype=np.complex128)
-    out.flags.writeable = False
-    return out
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -134,13 +126,14 @@ def is_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(2))) < tol)
 
 
-def require_coin(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate and return a coin operator as a read-only complex array."""
+def require_coin(matrix: np.ndarray) -> np.ndarray:
+    """Validate and return a coin operator as a read-only complex array.
+
+    Unitarity is checked with is_unitary's default tolerance, 1e-12.
+    """
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (2, 2):
         raise ValueError(f"coin operator must be 2x2, got shape {m.shape}")
-    if not is_unitary(m, tol):
+    if not is_unitary(m):
         raise ValueError("coin operator is not unitary within tolerance")
-    out = m.copy()
-    out.flags.writeable = False
-    return out
+    return _frozen(m)

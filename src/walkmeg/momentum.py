@@ -52,22 +52,22 @@ class NoOptimalSequenceError(ValueError):
 
 @dataclass(frozen=True)
 class AffineBlochVector:
-    """Vector (a0, a1, a2, a3) with a0 = 1/2 and (a1, a2, a3) = (x, y, z)/2."""
+    """Vector (1/2, a1, a2, a3) with (a1, a2, a3) = (x, y, z)/2.
+
+    The leading 1/2 is fixed by trace preservation, so it is not a field.
+    """
 
     a1: float
     a2: float
     a3: float
-    a0: float = 0.5
 
     def __post_init__(self):
-        if self.a0 != 0.5:
-            raise ValueError("a0 is fixed to 1/2 by trace preservation")
         if self.a1**2 + self.a2**2 + self.a3**2 > 0.25 + 1e-9:
             raise ValueError("Bloch part exceeds the unit ball")
 
     @property
     def array(self) -> np.ndarray:
-        return np.array([self.a0, self.a1, self.a2, self.a3])
+        return np.array([0.5, self.a1, self.a2, self.a3])
 
     @property
     def bloch(self) -> np.ndarray:
@@ -91,7 +91,7 @@ class AffineBlochVector:
 
 
 # kind -> index of the superoperator in the pair _grid_superoperators returns
-_SUPEROPERATOR_KEYS = {"H": 0, "L_H": 0, "I": 1, "1": 1, "L_I": 1}
+_SUPEROPERATOR_KEYS = {"H": 0, "I": 1}
 
 
 def superoperator_at(kind: str, k: float) -> np.ndarray:
@@ -287,7 +287,7 @@ def generate_table_sequence(T: int) -> CoinSequence:
     if T < _TABLE_MIN_STEPS:
         raise NoOptimalSequenceError(
             f"maximal entanglement for every initial coin state is impossible "
-            f"before step 3 (requested T={T})"
+            f"before step {_TABLE_MIN_STEPS} (requested T={T})"
         )
     if T <= 6:
         bits = "00" + "1" * (T - 2)
@@ -314,7 +314,7 @@ _FOURIER_TABLE = {
     10: "1100011100",
 }
 
-FOURIER_TABLE_RANGE = (3, 10)
+FOURIER_TABLE_RANGE = (min(_FOURIER_TABLE), max(_FOURIER_TABLE))
 
 
 def fourier_table_sequence(T: int) -> CoinSequence:

@@ -1,10 +1,10 @@
 """Deterministic tabular output.
 
 Every table serializes to CSV or JSON with floats printed via %.17g, so a
-round trip reproduces the double exactly and repeated runs with the same
-inputs produce byte-identical files. Metadata travels as '#'-prefixed
-key=value lines ahead of the CSV header, or as an object alongside the
-rows in JSON. No timestamps, hostnames, or other run-variant values
+round trip reproduces the double exactly (negative zero prints as 0) and
+repeated runs with the same inputs produce byte-identical files. Metadata
+travels as '#'-prefixed key=value lines ahead of the CSV header, or as an
+object alongside the rows in JSON. No timestamps, hostnames, or other run-variant values
 belong in a table.
 """
 
@@ -19,15 +19,17 @@ __all__ = ["ResultTable", "format_float", "parse_table"]
 
 # Columns whose values stay strings when parsing back (bit strings would
 # otherwise lose leading zeros through float conversion).
-STRING_COLUMNS = frozenset(
-    {"bits", "pattern", "set", "init", "agree", "predicate", "subcommand", "name"}
-)
-INT_COLUMNS = frozenset({"T", "t", "n", "restart", "count", "evaluations", "zeros"})
+STRING_COLUMNS = frozenset({"bits", "pattern", "set", "agree", "predicate"})
+INT_COLUMNS = frozenset({"T", "t", "evaluations"})
 
 
 def format_float(value: float) -> str:
-    """Shortest representation that survives a parse round trip (%.17g)."""
-    return "%.17g" % float(value)
+    """Shortest representation that survives a parse round trip (%.17g).
+
+    Negative zero (a pure state's entropy) prints as 0, so that it parses
+    back to the int 0 and re-prints as the same bytes.
+    """
+    return "%.17g" % (float(value) + 0.0)
 
 
 def _format_cell(value) -> str:
@@ -130,8 +132,7 @@ def _dump_json(value, indent: int = 0) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        # JSON prints negative zero (a pure state's entropy) as 0; the CSV keeps -0
-        return format_float(value + 0.0)
+        return format_float(value)
     return json.dumps(value)
 
 

@@ -77,7 +77,6 @@ import cmath
 import math
 import os
 from dataclasses import dataclass, field
-from functools import partial
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -315,19 +314,6 @@ def _sweep_stacks(steps, left_t, T: int, chunk_lo: int, chunk_hi: int):
         yield np.ascontiguousarray(total.reshape(n, -1, 4).transpose(1, 0, 2))
 
 
-def _sweep(steps, left_t, T: int, exact_above: float | None, out, chunk_lo: int, chunk_hi: int):
-    """Write the fidelities of the chunks in [chunk_lo, chunk_hi) to their rows of out.
-
-    out holds one row per chunk, its 0-led strings in ascending order. With
-    exact_above set, entries whose purity bound stays below both
-    exact_above and the running best minus BEST_TIE hold their bound
-    (see "Screen" in the module docstring).
-    """
-    best = -math.inf
-    for i, q in enumerate(_sweep_stacks(steps, left_t, T, chunk_lo, chunk_hi), start=chunk_lo):
-        out[i], best = _stack_fidelities(q, exact_above, best)
-
-
 def enumerate_fidelities(
     coin0: np.ndarray,
     coin1: np.ndarray,
@@ -368,7 +354,13 @@ def enumerate_fidelities(
     fid = np.empty(1 << T)
     half = fid[: fid.size // 2].reshape(n_chunks, -1)
     n_jobs = min(worker_count(workers), n_chunks)
-    sweep = partial(_sweep, *tables, T, exact_above, half)
+
+    def sweep(chunk_lo: int, chunk_hi: int) -> None:
+        """Fill the rows [chunk_lo, chunk_hi) of half, one row per chunk, on one running best."""
+        best = -math.inf
+        for i, q in enumerate(_sweep_stacks(*tables, T, chunk_lo, chunk_hi), start=chunk_lo):
+            half[i], best = _stack_fidelities(q, exact_above, best)
+
     if n_jobs <= 1:
         sweep(0, n_chunks)
     else:
@@ -431,13 +423,12 @@ def brute_force(
     exact_above = 1.0 - max(tolerance, *COUNT_TOLERANCES)
     fid = enumerate_fidelities(coin0, coin1, T, workers, exact_above=exact_above)
     best = float(fid.max())
-    n_optimal = int(np.count_nonzero(fid > 1.0 - tolerance))
-    if n_optimal > BRUTE_LIST_MAX_ROWS:
+    hits = np.flatnonzero(fid > 1.0 - tolerance)
+    if hits.size > BRUTE_LIST_MAX_ROWS:
         raise ResourceLimitError(
             f"brute force lists at most {BRUTE_LIST_MAX_ROWS} optimal strings, "
-            f"got {n_optimal} at tolerance {tolerance!r}"
+            f"got {hits.size} at tolerance {tolerance!r}"
         )
-    hits = np.nonzero(fid > 1.0 - tolerance)[0]
     return SearchResult(
         best_fidelity=best,
         best_bits=format(int(np.argmax(fid >= best - BEST_TIE)), f"0{T}b"),
@@ -646,21 +637,21 @@ def extension_closure_report(
     coin0: np.ndarray,
     coin1: np.ndarray,
     max_T: int = 10,
-    tolerance: float = 1e-9,
 ) -> list[ClosureRow]:
     """Check whether optimal strings stay optimal when the trailing 1-run grows.
 
-    For each T the report counts optimal strings b and how many of the
-    extended strings b + "1" are again optimal at T + 1. This is a
-    measured property of the optimal sets, reported rather than assumed;
-    the extension does fail for some strings.
+    For each T the report counts optimal strings b, at brute_force's
+    default tolerance, and how many of the extended strings b + "1" are
+    again optimal at T + 1. This is a measured property of the optimal
+    sets, reported rather than assumed; the extension does fail for some
+    strings.
     """
     max_T = int(max_T)
     if not 1 <= max_T <= LANDSCAPE_MAX_T:
         raise ResourceLimitError(
             f"closure report supports 1 <= max_T <= {LANDSCAPE_MAX_T}, got {max_T}"
         )
-    results = [brute_force(T, coin0, coin1, tolerance) for T in range(1, max_T + 2)]
+    results = [brute_force(T, coin0, coin1) for T in range(1, max_T + 2)]
     rows = []
     for T, (here, after) in enumerate(zip(results, results[1:]), start=1):
         preserved = len({bits + "1" for bits in here.optimal_bits}.intersection(after.optimal_bits))

@@ -272,6 +272,8 @@ GUARDED = {
     "T-range": (["fidelity-curve", "--T-range", f"2:{cli.FIDELITY_CURVE_MAX_T + 1}"],
                 "fidelity-curve --T-range", cli.FIDELITY_CURVE_MAX_T,
                 cli.FIDELITY_CURVE_MAX_T + 1),
+    "bloch T": (["bloch", "--T", str(cli.BLOCH_MAX_T + 1)],
+                "bloch --T", cli.BLOCH_MAX_T, cli.BLOCH_MAX_T + 1),
     "pattern": (["verify", "--pattern", f"{cli.VERIFY_PATTERN_MAX_T},0"],
                 "verify --pattern length", cli.VERIFY_PATTERN_MAX_T,
                 cli.VERIFY_PATTERN_MAX_T + 1),
@@ -291,6 +293,7 @@ def test_resource_limits_admit_documented_runs():
     assert cli.SIMULATE_MAX_T >= 200
     assert cli.ANNEAL_MAX_T >= 12
     assert cli.BLOCH_MAX_SAMPLES >= 296
+    assert cli.BLOCH_MAX_T >= 12  # the benchmark's single workload runs bloch at T 8..12
     assert cli.LANDSCAPE_MAX_GRID >= 17
     assert cli.FIDELITY_CURVE_MAX_T >= 12
 
@@ -308,6 +311,13 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     body = [line for line in text.splitlines() if not line.startswith("#")]
     body2 = [line for line in out2.splitlines() if not line.startswith("#")]
     assert body == body2
+
+
+def test_pure_coin_walk_csv_round_trips(capsys):
+    # the entropies of a pure-coin walk are -0.0, printed as 0
+    code, out = run_cli(capsys, "simulate", "--T", "2", "--set", "I")
+    assert code == 0
+    assert parse_table(out).to_csv() == out
 
 
 def test_json_format(capsys):

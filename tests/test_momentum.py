@@ -180,7 +180,5 @@ def test_affine_bloch_vector():
     np.testing.assert_allclose(v.array, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
     w = AffineBlochVector.from_bloch([0.0, 0.6, 0.8])
     np.testing.assert_allclose(w.bloch, [0.0, 0.6, 0.8], atol=1e-12)
-    with pytest.raises(ValueError, match="a0"):
-        AffineBlochVector(0.0, 0.0, 0.0, a0=1.0)
     with pytest.raises(ValueError, match="unit ball"):
         AffineBlochVector.from_bloch([1.5, 0.0, 0.0])

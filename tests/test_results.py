@@ -71,10 +71,11 @@ def test_floats_have_seventeen_significant_digits():
 
 
 def test_json_prints_negative_zero_as_zero():
-    # a pure state's entropy is -0.0; the CSV keeps the sign, the JSON never has
+    # a pure state's entropy is -0.0; neither format prints the sign
     table = ResultTable(("S_E",), metadata={"m": -0.0})
     table.append(-0.0)
-    assert table.to_csv().splitlines()[-1] == "-0"
+    assert table.to_csv().splitlines()[-1] == "0"
+    assert "-0" not in table.to_csv()
     assert "-0" not in table.to_json()
 
 
