@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import shlex
 import sys
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .channel import bloch_image, sequence_fidelity
-from .coins import named_coin, rotation_coin
+from .coins import ROTATION_ANGLES, in_rotation_range, named_coin, rotation_coin
 from .metrics import (
     DEFAULT_ENSEMBLE,
     entanglement_entropy,
@@ -65,10 +64,9 @@ from .walk import (
     TOMOGRAPHY_INPUT_NAMES,
     CoinSequence,
     InitialCoinState,
-    initial_state,
     position_distribution,
     reduced_coin_state,
-    step,
+    trajectory,
 )
 
 __all__ = ["main"]
@@ -178,7 +176,7 @@ def _parse_set(spec: str) -> tuple[np.ndarray, np.ndarray, str]:
             raise ValueError(f"angle set must be g:GAMMA0,GAMMA1, got {spec!r}")
         g0, g1 = float(parts[0]), float(parts[1])
         for g in (g0, g1):
-            if not 0.0 <= g <= math.pi / 2.0 + 1e-12:
+            if not in_rotation_range(g):
                 raise ValueError(f"coin angles must lie in [0, pi/2], got {g}")
         return rotation_coin(g0), rotation_coin(g1), _angle_label(g0, g1)
     names = [tok.strip().upper() for tok in text.split(",") if tok.strip()]
@@ -227,11 +225,24 @@ def _parse_T_range(raw: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_tol(raw: str) -> float:
-    tol = float(raw)
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"--tol must be a number in (0, 1), got {raw!r}")
-    return tol
+def _check_shared(ns) -> None:
+    """Check what every subcommand shares, once for all of them.
+
+    Each echoed value must fit the one-line command metadata; --tol must
+    lie in (0, 1) and --seed be a non-negative integer, kept parsed as
+    ns.tolerance and ns.seed_value.
+    """
+    for action in ns.echoed:
+        value = getattr(ns, action.dest)
+        if value and value.splitlines() != [value]:
+            flag = (action.option_strings or [action.dest])[0]
+            raise ValueError(f"{flag} must not contain a line break, got {value!r}")
+    ns.tolerance = float(ns.tol)
+    if not 0.0 < ns.tolerance < 1.0:
+        raise ValueError(f"--tol must be a number in (0, 1), got {ns.tol!r}")
+    ns.seed_value = int(ns.seed)
+    if ns.seed_value < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {ns.seed!r}")
 
 
 def _table_bits(T: int, set_label: str) -> str | None:
@@ -280,7 +291,7 @@ def _metadata(ns) -> dict:
     return {
         "tool": f"walkmeg {__version__}",
         "command": shlex.join(tokens),
-        "seed": int(ns.seed),
+        "seed": ns.seed_value,
     }
 
 
@@ -300,18 +311,15 @@ def _cmd_simulate(ns) -> tuple[ResultTable, int]:
 
     columns = ("t", *(f"P({x})" for x in range(-T, T + 1)), "S_E", "S_S", "m")
     table = ResultTable(columns, metadata=metadata)
-    seq = CoinSequence(coin0, coin1, bits)
-    state = initial_state(init)
-    for t in range(1, T + 1):
-        state = step(state, seq.coin_at(t))
+    for state in trajectory(init, CoinSequence(coin0, coin1, bits)):
         dist = position_distribution(state)
         padded = np.zeros(2 * T + 1)
-        padded[T - t : T + t + 1] = dist.probabilities
+        padded[T - state.t : T + state.t + 1] = dist.probabilities
         table.append(
-            t,
+            state.t,
             *padded.tolist(),
             entanglement_entropy(reduced_coin_state(state)),
-            shannon_entropy(dist, t),
+            shannon_entropy(dist, state.t),
             second_moment(dist),
         )
     return table, 0
@@ -357,7 +365,7 @@ def _cmd_search(ns) -> tuple[ResultTable, int]:
 
     if ns.mode == "anneal":
         _guard("search anneal --T", T, ANNEAL_MAX_T)
-        config = AnnealConfig(seed=int(ns.seed))
+        config = AnnealConfig(seed=ns.seed_value)
         metadata["restarts"] = config.restarts
         if ns.set is None:
             result = anneal(T, config)
@@ -375,7 +383,7 @@ def _cmd_search(ns) -> tuple[ResultTable, int]:
         raise ValueError("--grid must be >= 2")
     _guard("search landscape --grid", grid_n, LANDSCAPE_MAX_GRID)
     metadata["grid"] = grid_n
-    angles = [float(g) for g in np.linspace(0.0, math.pi / 2.0, grid_n)]
+    angles = [float(g) for g in np.linspace(*ROTATION_ANGLES, grid_n)]
     points = landscape_scan(T, angles)
     table = ResultTable(("gamma0", "gamma1", "best_fidelity"), metadata=metadata)
     for point in points:
@@ -392,25 +400,26 @@ def _cmd_verify(ns) -> tuple[ResultTable, int]:
     metadata = _metadata(ns)
 
     if ns.pattern is not None:
-        patterns = [SequencePattern(tuple(int(v) for v in ns.pattern.split(",")))]
-        _guard("verify --pattern length", patterns[0].T, VERIFY_PATTERN_MAX_T)
+        pattern = SequencePattern(tuple(int(v) for v in ns.pattern.split(",")))
+        _guard("verify --pattern length", pattern.T, VERIFY_PATTERN_MAX_T)
+        family = {pattern_bits(pattern): pattern}
     else:
         max_T = int(ns.max_T)
         if not 1 <= max_T <= _VERIFY_MAX_T:
             raise ValueError(
                 f"--max-T must lie in [1, {_VERIFY_MAX_T}] for the exhaustive check"
             )
-        patterns = [pattern_from_bits(bits) for bits in iter_family_bits(max_T)]
+        family = {bits: pattern_from_bits(bits) for bits in iter_family_bits(max_T)}
 
-    # one kernel call per length; the patterns come in ascending length
+    # one kernel call per length; the strings come in ascending length
     hadamard, identity = named_coin("H"), named_coin("I")
     fidelities = []
-    for _, group in itertools.groupby(map(pattern_bits, patterns), key=len):
+    for _, group in itertools.groupby(family, key=len):
         rows = [[int(b) for b in bits] for bits in group]
         fidelities.extend(batch_fidelities(hadamard, identity, rows).tolist())
     table = ResultTable(("pattern", "predicate", "fidelity", "agree"), metadata=metadata)
     disagreements = 0
-    for pattern, fidelity in zip(patterns, fidelities):
+    for pattern, fidelity in zip(family.values(), fidelities):
         predicted = theorem_predicate(pattern)
         agree = predicted == (fidelity > 1.0 - ns.tolerance)
         text = ",".join(str(v) for v in pattern.ls)
@@ -443,8 +452,7 @@ def _cmd_bloch(ns) -> tuple[ResultTable, int]:
         # zero steps leave the coin untouched: the identity-channel self-test;
         # no literal has length 0, so this refuses every literal
         _is_literal(ns.bits, T)
-        points = fibonacci_sphere(n_samples)
-        inputs, outputs = points, points
+        inputs = outputs = fibonacci_sphere(n_samples)
         metadata["bits"] = ""
     else:
         bits = _resolve_bits(ns.bits, T, coin0, coin1, label)
@@ -456,8 +464,8 @@ def _cmd_bloch(ns) -> tuple[ResultTable, int]:
     table = ResultTable(
         ("x_in", "y_in", "z_in", "x_out", "y_out", "z_out"), metadata=metadata
     )
-    for row_in, row_out in zip(inputs, outputs):
-        table.append(*(float(v) for v in row_in), *(float(v) for v in row_out))
+    for row_in, row_out in zip(inputs.tolist(), outputs.tolist()):
+        table.append(*row_in, *row_out)
     return table, 0
 
 
@@ -469,8 +477,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (None, 0) else 2
 
     try:
-        # every subcommand takes --tol, so it is checked once for all of them
-        ns.tolerance = _parse_tol(ns.tol)
+        _check_shared(ns)
         table, code = ns.handler(ns)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -87,6 +87,20 @@ def rotation_coin(gamma: float) -> np.ndarray:
     return build_coin(CoinParameters(0.0, gamma, 0.0))
 
 
+# The range of gamma in C(gamma) that the CLI, the landscape scan and the
+# anneal use: sigma_z at 0 to sigma_x at pi/2.
+ROTATION_ANGLES = (0.0, math.pi / 2.0)
+
+
+def in_rotation_range(gamma: float) -> bool:
+    """Whether gamma lies in ROTATION_ANGLES.
+
+    The upper end has 1e-12 of slack, so that pi/2 written out rounded
+    up, such as 1.5707963267949, is accepted.
+    """
+    return ROTATION_ANGLES[0] <= gamma <= ROTATION_ANGLES[1] + 1e-12
+
+
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 HADAMARD = _frozen([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]])

@@ -19,9 +19,8 @@ from .walk import (
     CoinSequence,
     InitialCoinState,
     ProbabilityDistribution,
-    initial_state,
     position_distribution,
-    step,
+    trajectory,
 )
 
 __all__ = [
@@ -167,11 +166,7 @@ def fit_diffusion_exponent(series: MomentSeries | np.ndarray) -> float:
 
 def walk_moment_series(seq: CoinSequence, init: InitialCoinState) -> MomentSeries:
     """Evolve stepwise and collect m(t) for t = 1..T, with the fitted exponent."""
-    state = initial_state(init)
-    values = np.empty(seq.T)
-    for t in range(1, seq.T + 1):
-        state = step(state, seq.coin_at(t))
-        values[t - 1] = second_moment(position_distribution(state))
+    values = np.array([second_moment(position_distribution(s)) for s in trajectory(init, seq)])
     if seq.T >= 3 and np.all(values > 0.0):
         t = np.arange(1, seq.T + 1, dtype=float)
         slope, intercept = np.polyfit(np.log(t), np.log(values), 1)

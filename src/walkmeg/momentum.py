@@ -22,13 +22,14 @@ vanishes for all inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coins import FOURIER, HADAMARD, IDENTITY
-from .walk import CoinSequence
+from .walk import CoinSequence, InitialCoinState
 
 __all__ = [
     "NoOptimalSequenceError",
@@ -82,12 +83,7 @@ class AffineBlochVector:
     @classmethod
     def from_angles(cls, theta: float, phi: float) -> "AffineBlochVector":
         """Affine vector of the pure state |theta, phi>."""
-        st = math.sin(theta)
-        return cls(
-            0.5 * st * math.cos(phi),
-            0.5 * st * math.sin(phi),
-            0.5 * math.cos(theta),
-        )
+        return cls.from_bloch(InitialCoinState(theta, phi).bloch)
 
 
 # kind -> index of the superoperator in the pair _grid_superoperators returns
@@ -175,7 +171,7 @@ class SequencePattern:
 
     def __post_init__(self):
         ls = tuple(int(v) for v in self.ls)
-        if len(ls) not in (2, 3):
+        if len(ls) not in _FAMILIES:
             raise ValueError("pattern needs two or three run lengths")
         if any(v < 0 for v in ls):
             raise ValueError("run lengths must be nonnegative")
@@ -212,14 +208,12 @@ def pattern_from_bits(bits: str) -> SequencePattern:
     bits = str(bits)
     if len(bits) < 1 or set(bits) - {"0", "1"}:
         raise ValueError(f"bits must be a nonempty 0/1 string, got {bits!r}")
-    zeros = bits.count("0")
     runs = tuple(len(r) for r in bits.split("0"))
-    if zeros in (1, 2):
+    if len(runs) in _FAMILIES:
         return SequencePattern(runs)
-    if zeros == 3 and bits[0] == "0":
-        # 0 1^a 0 1^b 0 1^c stands in for 1^(a+1) 0 1^b 0 1^c
-        _, a, b, c = runs
-        return SequencePattern((a + 1, b, c), prefixed=True)
+    if bits[0] == "0" and len(runs) - 1 in _FAMILIES:
+        # 0 1^a 0 1^b ... stands in for 1^(a+1) 0 1^b ...
+        return SequencePattern((runs[1] + 1, *runs[2:]), prefixed=True)
     raise ValueError(
         f"bit string {bits!r} is not in the one- or two-Hadamard families"
     )
@@ -240,6 +234,11 @@ def _two_hadamard_optimal(l1: int, l2: int, l3: int) -> bool:
     )
 
 
+# The covered families, by run count: the closed-form optimality test of
+# b = 1^l1 0 1^l2 (0 1^l3 ...). Every family reader takes its run counts here.
+_FAMILIES = {2: _one_hadamard_optimal, 3: _two_hadamard_optimal}
+
+
 def theorem_predicate(p: SequencePattern) -> bool:
     """Closed-form optimality test for a pattern over the {H, 1} coin set.
 
@@ -254,23 +253,22 @@ def theorem_predicate(p: SequencePattern) -> bool:
     every family member with T <= 12 (see the oracle-equivalence tests).
     Leading-0 variants reuse the conditions of their tail form.
     """
-    if len(p.ls) == 2:
-        return _one_hadamard_optimal(*p.ls)
-    return _two_hadamard_optimal(*p.ls)
+    return _FAMILIES[len(p.ls)](*p.ls)
 
 
 def iter_family_bits(max_len: int):
     """Yield every one- and two-Hadamard family bit string with T <= max_len.
 
-    Covers all strings containing exactly one or exactly two 0s, in
-    ascending (T, value) order.
+    A string of n runs has n - 1 zeros, so these are all strings with
+    exactly one or exactly two 0s, in ascending (T, value) order. Each is
+    built from its zero positions.
     """
-    max_len = int(max_len)
-    for t in range(1, max_len + 1):
-        for value in range(1 << t):
-            bits = format(value, f"0{t}b")
-            if bits.count("0") in (1, 2):
-                yield bits
+    for t in range(1, int(max_len) + 1):
+        yield from sorted(
+            "".join("0" if i in zeros else "1" for i in range(t))
+            for runs in _FAMILIES
+            for zeros in itertools.combinations(range(t), runs - 1)
+        )
 
 
 _TABLE_MIN_STEPS = 3

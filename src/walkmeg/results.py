@@ -33,6 +33,9 @@ def format_float(value: float) -> str:
 
 
 def _format_cell(value) -> str:
+    """CSV text of one cell; also the JSON text of every number."""
+    if isinstance(value, float):
+        return format_float(value)
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
@@ -85,8 +88,7 @@ class ResultTable:
             out.write(f"# {key}={_format_cell(self.metadata[key])}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_format_cell(v) for v in row])
+        writer.writerows([_format_cell(v) for v in row] for row in self.rows)
         return out.getvalue()
 
     # -- JSON ----------------------------------------------------------------
@@ -108,11 +110,11 @@ class ResultTable:
 
 
 def _dump_json(value, indent: int = 0) -> str:
-    """json.dumps with floats rendered through format_float.
+    """json.dumps with every number rendered through _format_cell.
 
     The stock encoder prints repr(float), which round trips but is not the
-    %.17g form the CSV writer uses; emitting both through one formatter
-    keeps the two formats byte-consistent with each other.
+    %.17g form the CSV writer uses; printing the numbers of both formats
+    through one formatter keeps them byte-consistent with each other.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -129,11 +131,9 @@ def _dump_json(value, indent: int = 0) -> str:
             return "[]"
         parts = [f"{inner}{_dump_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    return json.dumps(value)
+    if value is None or isinstance(value, str):
+        return json.dumps(value)
+    return _format_cell(value)
 
 
 def parse_table(text: str) -> ResultTable:

@@ -82,7 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coins import require_coin, rotation_coin
+from .coins import ROTATION_ANGLES, in_rotation_range, require_coin, rotation_coin
 
 __all__ = [
     "ResourceLimitError",
@@ -504,7 +504,6 @@ def _anneal_restart(
     same_walk = coins is not None and np.array_equal(steps[0], steps[1])
     temperature = _INITIAL_TEMPERATURE
     floor = _INITIAL_TEMPERATURE * _TEMPERATURE_FLOOR
-    half_pi = math.pi / 2.0
 
     while not same_walk and temperature > floor and best_cost > _STOP_COST:
         sigma = max(_ANGLE_SIGMA * math.sqrt(temperature / _INITIAL_TEMPERATURE), _MIN_SIGMA)
@@ -514,7 +513,7 @@ def _anneal_restart(
                 which = int(rng.integers(0, 2))
                 cand_g = list(g)
                 cand_g[which] = float(
-                    np.clip(g[which] + sigma * rng.standard_normal(), 0.0, half_pi)
+                    np.clip(g[which] + sigma * rng.standard_normal(), *ROTATION_ANGLES)
                 )
                 # rebuild only the moved coin's step; order="K" keeps the
                 # memory layout of steps, on which the products' round-off depends
@@ -605,7 +604,7 @@ def landscape_scan(
     gammas = [float(g) for g in grid]
     if not gammas:
         raise ValueError("grid must contain at least one angle")
-    if min(gammas) < 0.0 or max(gammas) > math.pi / 2.0 + 1e-12:
+    if not all(map(in_rotation_range, gammas)):
         raise ValueError("grid angles must lie in [0, pi/2]")
     coins = {g: rotation_coin(g) for g in gammas}
     points = []

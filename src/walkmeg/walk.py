@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "TOMOGRAPHY_INPUT_NAMES",
     "initial_state",
     "step",
+    "trajectory",
     "evolve",
     "reduced_coin_state",
     "position_distribution",
@@ -201,11 +203,18 @@ def step(state: WalkerState, coin: np.ndarray) -> WalkerState:
     return WalkerState(state.t + 1, out)
 
 
-def evolve(coin: InitialCoinState, seq: CoinSequence) -> WalkerState:
-    """Run the full sequence from a localized walker; equals iterated step()."""
+def trajectory(coin: InitialCoinState, seq: CoinSequence) -> Iterator[WalkerState]:
+    """Yield the state after each step t = 1..T from a localized walker."""
     state = initial_state(coin)
     for t in range(1, seq.T + 1):
         state = step(state, seq.coin_at(t))
+        yield state
+
+
+def evolve(coin: InitialCoinState, seq: CoinSequence) -> WalkerState:
+    """Run the full sequence from a localized walker: the last state of trajectory()."""
+    for state in trajectory(coin, seq):
+        pass  # keep only the last state; T may run to thousands
     return state
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, determinism, replay."""
 
+import math
 import os
 import shlex
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from walkmeg import cli
 from walkmeg.cli import main
 from walkmeg.results import parse_table
+from walkmeg.search import landscape_scan
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str]:
@@ -182,8 +184,8 @@ def test_resource_guard_message_and_brute_best(capsys):
     assert main(["simulate", "--T", "30", "--set", "H,X", "--bits", "brute-best"]) == 3
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1"])
-@pytest.mark.parametrize("argv", [
+# one small run of each subcommand and search mode
+EVERY_SUBCOMMAND = [
     ["search", "brute", "--T", "3"],
     ["verify", "--max-T", "3"],
     ["simulate", "--T", "3"],
@@ -191,12 +193,59 @@ def test_resource_guard_message_and_brute_best(capsys):
     ["bloch", "--T", "3", "--n", "4"],
     ["search", "anneal", "--T", "3", "--set", "H,I"],
     ["search", "landscape", "--T", "2", "--grid", "2"],
-])
+]
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1"])
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND)
 def test_tolerance_outside_the_unit_interval_is_a_usage_error(argv, tol, capsys):
     assert main(argv + ["--tol", tol]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --tol must be a number in (0, 1)")
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND)
+def test_negative_seed_is_a_usage_error(argv, capsys):
+    assert main(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be a non-negative integer, got '-1'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--T", "3", "--set", "H,I\n", "--bits", "001"],
+    ["verify", "--pattern", "1,0\n"],
+    ["search", "brute", "--T", "3", "--seed", "1\r2"],
+    ["bloch", "--T", "3", "--n", "4", "--out", "a\u2028b"],
+])
+def test_line_break_in_an_echoed_value_is_a_usage_error(argv, capsys):
+    # the value would split the one-line '# command=' metadata
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "must not contain a line break" in captured.err
+
+
+@pytest.mark.parametrize("angle, accepted", [
+    (-1e-9, False),
+    (0.0, True),
+    (1.5707963267949, True),  # pi/2 rounded up, within the 1e-12 slack
+    (math.pi / 2.0 + 1e-11, False),
+])
+def test_coin_angle_range_is_shared_by_set_and_landscape(angle, accepted, capsys):
+    code = main(["search", "brute", "--T", "2", "--set", f"g:0.5,{angle!r}"])
+    captured = capsys.readouterr()
+    if accepted:
+        assert code == 0
+        assert len(landscape_scan(1, [0.5, angle])) == 4
+    else:
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: coin angles must lie in [0, pi/2], got {angle!r}\n"
+        with pytest.raises(ValueError, match=r"grid angles must lie in \[0, pi/2\]"):
+            landscape_scan(1, [0.5, angle])
 
 
 def test_optimal_set_beyond_the_row_limit_is_refused(capsys, monkeypatch):

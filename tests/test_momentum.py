@@ -108,6 +108,15 @@ def test_predicate_reference_cases():
     assert not theorem_predicate(SequencePattern((4, 1, 1)))  # l1 == l2 + l3 + 2
 
 
+def test_family_bits_equal_the_filter_over_all_strings():
+    every = [
+        format(value, f"0{t}b") for t in range(1, 15) for value in range(1 << t)
+    ]
+    family = [bits for bits in every if bits.count("0") in (1, 2)]
+    for n in range(15):
+        assert list(iter_family_bits(n)) == [bits for bits in family if len(bits) <= n]
+
+
 def test_pattern_round_trip():
     for bits in iter_family_bits(9):
         assert pattern_bits(pattern_from_bits(bits)) == bits

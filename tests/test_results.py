@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from walkmeg.results import ResultTable, format_float, parse_table
@@ -77,6 +78,24 @@ def test_json_prints_negative_zero_as_zero():
     assert table.to_csv().splitlines()[-1] == "0"
     assert "-0" not in table.to_csv()
     assert "-0" not in table.to_json()
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.1, "0.10000000000000001"),
+    (-0.0, "0"),
+    (7, "7"),
+    (True, "true"),
+    (np.float64(0.25), "0.25"),
+])
+def test_csv_and_json_print_a_number_alike(value, text):
+    table = ResultTable(("x",), metadata={"m": value})
+    table.append(value)
+    csv_lines = table.to_csv().splitlines()
+    assert csv_lines[0] == f"# m={text}"
+    assert csv_lines[-1] == text
+    json_lines = [line.strip() for line in table.to_json().splitlines()]
+    assert f'"m": {text}' in json_lines
+    assert text in json_lines  # the row's one cell
 
 
 def test_write_and_read_file(tmp_path):

@@ -20,6 +20,7 @@ from walkmeg import (
     position_distribution,
     reduced_coin_state,
     step,
+    trajectory,
 )
 from walkmeg.metrics import entanglement_entropy, second_moment
 
@@ -94,10 +95,14 @@ def test_step_widens_lattice_and_preserves_norm():
 def test_evolve_equals_iterated_step():
     seq = CoinSequence(HADAMARD, IDENTITY, "0101")
     init = InitialCoinState(0.7, 2.1)
-    state = initial_state(init)
+    states = [initial_state(init)]
     for t in range(1, 5):
-        state = step(state, seq.coin_at(t))
-    np.testing.assert_array_equal(evolve(init, seq).amplitudes, state.amplitudes)
+        states.append(step(states[-1], seq.coin_at(t)))
+    np.testing.assert_array_equal(evolve(init, seq).amplitudes, states[-1].amplitudes)
+    walked = list(trajectory(init, seq))
+    assert [s.t for s in walked] == [1, 2, 3, 4]
+    for got, want in zip(walked, states[1:]):
+        np.testing.assert_array_equal(got.amplitudes, want.amplitudes)
 
 
 def test_sigma_z_walk_equals_identity_walk_in_probability():
