@@ -12,13 +12,13 @@ identity step preserves optimality for most strings but not all.
 from walkmeg import (
     HADAMARD,
     IDENTITY,
+    brute_force,
     extension_closure_report,
-    optimal_counts,
 )
 
 print(f"{'T':>3} {'count @1e-6':>12} {'count @1e-9':>12} {'count @1e-12':>13}")
 for T in range(3, 15):
-    counts = optimal_counts(T, HADAMARD, IDENTITY)
+    counts = brute_force(T, HADAMARD, IDENTITY).counts
     row = [counts[tol] for tol in (1e-6, 1e-9, 1e-12)]
     print(f"{T:>3} {row[0]:>12} {row[1]:>12} {row[2]:>13}")
 

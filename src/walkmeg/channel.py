@@ -234,11 +234,8 @@ def bloch_image(seq: CoinSequence, n_samples: int) -> BlochImage:
     Inputs are mapped through the channel's Pauli transfer matrix. For a
     unit-fidelity sequence every output collapses to the origin.
     """
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     pts = fibonacci_sphere(n_samples)
     r = coin_channel_ptm(seq)
-    affine = np.column_stack([np.ones(n_samples), pts])
+    affine = np.column_stack([np.ones(len(pts)), pts])
     outputs = affine @ r[1:, :].T
     return BlochImage(pts, outputs)

@@ -71,7 +71,6 @@ from .walk import (
 
 __all__ = ["main"]
 
-_VERIFY_MAX_T = 12
 # Defaults of the two options that apply only in some modes; each handler
 # fills them in where they apply, so the echo carries them only there.
 _LANDSCAPE_GRID_DEFAULT = "17"
@@ -82,6 +81,7 @@ SIMULATE_MAX_T = 1000  # T rows of 2T+5 columns
 FIDELITY_CURVE_MAX_T = BRUTE_FORCE_MAX_T  # a curve point may need the exhaustive best
 ANNEAL_MAX_T = 24  # up to 540k proposals (10 restarts), each O(T^2)
 LANDSCAPE_MAX_GRID = 33  # grid^2 sweeps; 33 refines the default 17 by halving the step
+VERIFY_MAX_T = 40  # 11,480 family strings, each scored once
 VERIFY_PATTERN_MAX_T = 4096
 BLOCH_MAX_T = 4096  # four tomography walks of O(T^2) work each
 BLOCH_MAX_SAMPLES = 1 << 16
@@ -150,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add = subcommand("verify", _cmd_verify, "check closed-form conditions against fidelity")
     add("--max-T", dest="max_T", default=None,
-        help=f"exhaustive family check up to this length (<= {_VERIFY_MAX_T}, "
+        help=f"exhaustive family check up to this length (<= {VERIFY_MAX_T}, "
         f"default {_VERIFY_MAX_T_DEFAULT})")
     add("--pattern", default=None,
         help="single run-length pattern l1,l2 or l1,l2,l3 instead of the sweep")
@@ -208,10 +208,10 @@ def _guard(what: str, value: int, limit: int) -> None:
         raise ResourceLimitError(f"{what} is limited to {limit}, got {value}")
 
 
-def _parse_T(raw: str, minimum: int = 1) -> int:
+def _parse_T(raw: str, minimum: int = 1, flag: str = "--T") -> int:
     T = int(raw)
     if T < minimum:
-        raise ValueError(f"--T must be >= {minimum}, got {T}")
+        raise ValueError(f"{flag} must be >= {minimum}, got {T}")
     return T
 
 
@@ -404,11 +404,8 @@ def _cmd_verify(ns) -> tuple[ResultTable, int]:
         _guard("verify --pattern length", pattern.T, VERIFY_PATTERN_MAX_T)
         family = {pattern_bits(pattern): pattern}
     else:
-        max_T = int(ns.max_T)
-        if not 1 <= max_T <= _VERIFY_MAX_T:
-            raise ValueError(
-                f"--max-T must lie in [1, {_VERIFY_MAX_T}] for the exhaustive check"
-            )
+        max_T = _parse_T(ns.max_T, flag="--max-T")
+        _guard("verify --max-T", max_T, VERIFY_MAX_T)
         family = {bits: pattern_from_bits(bits) for bits in iter_family_bits(max_T)}
 
     # one kernel call per length; the strings come in ascending length

@@ -159,16 +159,20 @@ def fit_diffusion_exponent(series: MomentSeries | np.ndarray) -> float:
         raise ValueError("need at least three points to fit an exponent")
     if np.any(values <= 0.0):
         raise ValueError("second moments must be positive for a log-log fit")
+    return _power_law_fit(values)[0]
+
+
+def _power_law_fit(values: np.ndarray) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line ln m(t) = slope ln t + intercept, t = 1.."""
     t = np.arange(1, values.size + 1, dtype=float)
-    slope, _ = np.polyfit(np.log(t), np.log(values), 1)
-    return float(slope)
+    slope, intercept = np.polyfit(np.log(t), np.log(values), 1)
+    return float(slope), float(intercept)
 
 
 def walk_moment_series(seq: CoinSequence, init: InitialCoinState) -> MomentSeries:
     """Evolve stepwise and collect m(t) for t = 1..T, with the fitted exponent."""
     values = np.array([second_moment(position_distribution(s)) for s in trajectory(init, seq)])
     if seq.T >= 3 and np.all(values > 0.0):
-        t = np.arange(1, seq.T + 1, dtype=float)
-        slope, intercept = np.polyfit(np.log(t), np.log(values), 1)
-        return MomentSeries(values=values, alpha=float(slope), prefactor=float(np.exp(intercept)))
+        slope, intercept = _power_law_fit(values)
+        return MomentSeries(values=values, alpha=slope, prefactor=float(np.exp(intercept)))
     return MomentSeries(values=values)

@@ -93,7 +93,6 @@ __all__ = [
     "ClosureRow",
     "brute_force",
     "enumerate_fidelities",
-    "optimal_counts",
     "anneal",
     "landscape_scan",
     "extension_closure_report",
@@ -264,11 +263,15 @@ def _bits_matrix(values: np.ndarray, T: int) -> np.ndarray:
 
 
 def batch_fidelities(coin0: np.ndarray, coin1: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Fidelity against the depolarizing target for each bit row."""
+    """Fidelity against the depolarizing target for each bit row.
+
+    Every entry must equal 0 or 1; anything else raises ValueError.
+    """
     coin0, coin1 = require_coin(coin0), require_coin(coin1)
-    bits = np.asarray(bits, dtype=np.intp)
-    if bits.ndim != 2:
+    bits = np.asarray(bits)
+    if bits.ndim != 2 or not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be a 2d array of 0/1 rows")
+    bits = bits.astype(np.intp)
     return _row_fidelities(_su2_steps((coin0, coin1), 2 * bits.shape[1] + 1), bits)
 
 
@@ -437,13 +440,6 @@ def brute_force(
         counts=MappingProxyType({tol: int((fid > 1.0 - tol).sum()) for tol in COUNT_TOLERANCES}),
         evaluations=int(fid.size),
     )
-
-
-def optimal_counts(
-    T: int, coin0: np.ndarray, coin1: np.ndarray, workers: int | None = None
-) -> MappingProxyType:
-    """Number of strings with fidelity above 1 - tol for each of COUNT_TOLERANCES."""
-    return brute_force(T, coin0, coin1, workers=workers).counts
 
 
 # ---------------------------------------------------------------------------

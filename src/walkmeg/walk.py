@@ -91,6 +91,16 @@ _NAMED_STATES = {
 TOMOGRAPHY_INPUT_NAMES = tuple(_NAMED_STATES)
 
 
+def require_bits(bits: str) -> str:
+    """Validate and return a bit string as text: 0s and 1s, at least one."""
+    bits = str(bits)
+    if len(bits) < 1:
+        raise ValueError("coin sequence must have length T >= 1")
+    if set(bits) - {"0", "1"}:
+        raise ValueError(f"bits must contain only 0 and 1, got {bits!r}")
+    return bits
+
+
 @dataclass(frozen=True)
 class CoinSequence:
     """Two coin operators plus a bit string selecting one per step.
@@ -106,12 +116,7 @@ class CoinSequence:
     def __post_init__(self):
         object.__setattr__(self, "coin0", require_coin(self.coin0))
         object.__setattr__(self, "coin1", require_coin(self.coin1))
-        bits = str(self.bits)
-        if len(bits) < 1:
-            raise ValueError("coin sequence must have length T >= 1")
-        if set(bits) - {"0", "1"}:
-            raise ValueError(f"bits must contain only 0 and 1, got {bits!r}")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", require_bits(self.bits))
 
     @property
     def T(self) -> int:
@@ -146,11 +151,6 @@ class WalkerState:
         amp = amp.copy()
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Lattice positions x = -t .. t matching the amplitude columns."""
-        return np.arange(-self.t, self.t + 1)
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,15 @@ def test_verify_sweep_all_agree(capsys):
     assert all(row[3] == "true" for row in table.rows)
 
 
+def test_verify_agrees_up_to_its_limit(capsys):
+    code, out = run_cli(capsys, "verify", "--max-T", str(cli.VERIFY_MAX_T))
+    assert code == 0
+    table = parse_table(out)
+    assert table.metadata["disagreements"] == 0
+    n = cli.VERIFY_MAX_T
+    assert len(table.rows) == n * (n + 1) // 2 + n * (n - 1) * (n + 1) // 6  # one or two 0s
+
+
 def test_verify_single_patterns(capsys):
     code, out = run_cli(capsys, "verify", "--pattern", "1,0")
     assert code == 0
@@ -170,7 +179,8 @@ def test_exit_code_usage_errors(capsys):
     assert run_cli(capsys, "simulate", "--T", "3", "--bits", "01")[0] == 2
     assert run_cli(capsys, "fidelity-curve", "--T-range", "5")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
-    assert run_cli(capsys, "verify", "--max-T", "40")[0] == 2
+    assert main(["verify", "--max-T", "0"]) == 2
+    assert capsys.readouterr().err == "error: --max-T must be >= 1, got 0\n"
 
 
 def test_exit_code_resource_guard(capsys):
@@ -323,6 +333,8 @@ GUARDED = {
                 cli.FIDELITY_CURVE_MAX_T + 1),
     "bloch T": (["bloch", "--T", str(cli.BLOCH_MAX_T + 1)],
                 "bloch --T", cli.BLOCH_MAX_T, cli.BLOCH_MAX_T + 1),
+    "max-T": (["verify", "--max-T", str(cli.VERIFY_MAX_T + 1)],
+              "verify --max-T", cli.VERIFY_MAX_T, cli.VERIFY_MAX_T + 1),
     "pattern": (["verify", "--pattern", f"{cli.VERIFY_PATTERN_MAX_T},0"],
                 "verify --pattern length", cli.VERIFY_PATTERN_MAX_T,
                 cli.VERIFY_PATTERN_MAX_T + 1),
@@ -345,6 +357,7 @@ def test_resource_limits_admit_documented_runs():
     assert cli.BLOCH_MAX_T >= 12  # the benchmark's single workload runs bloch at T 8..12
     assert cli.LANDSCAPE_MAX_GRID >= 17
     assert cli.FIDELITY_CURVE_MAX_T >= 12
+    assert cli.VERIFY_MAX_T >= 12  # the benchmark's single workload runs verify --max-T 12
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

@@ -26,6 +26,7 @@ from walkmeg import (
     superoperator_at,
     theorem_predicate,
 )
+from walkmeg.momentum import _averaged_product
 
 
 def direct_final_bloch(bits: str, init: InitialCoinState) -> np.ndarray:
@@ -61,11 +62,11 @@ def test_superoperator_matrices_at_reference_momenta():
 def test_quadrature_grid_is_exact():
     # the integrand is a trigonometric polynomial of degree 2T, so the
     # uniform grid with 4T+4 points is already exact; doubling changes nothing
-    init = AffineBlochVector.from_angles(0.7, 1.9)
+    init = AffineBlochVector.from_bloch(InitialCoinState(0.7, 1.9).bloch)
     for bits in ("001", "0110101", "1111100001"):
         base = momentum_final_bloch(bits, init)
-        fine = momentum_final_bloch(bits, init, n_points=8 * len(bits) + 8)
-        np.testing.assert_allclose(base.bloch, fine.bloch, atol=1e-12)
+        fine = _averaged_product(bits, 8 * len(bits) + 8) @ init.array
+        np.testing.assert_allclose(base.bloch, 2.0 * fine[1:], atol=1e-12)
 
 
 def test_momentum_route_matches_direct_evolution():
@@ -75,8 +76,9 @@ def test_momentum_route_matches_direct_evolution():
         bits = "".join("01"[b] for b in rng.integers(0, 2, T))
         theta = float(rng.uniform(0.0, math.pi))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        mom = momentum_final_bloch(bits, AffineBlochVector.from_angles(theta, phi))
-        direct = direct_final_bloch(bits, InitialCoinState(theta, phi))
+        init = InitialCoinState(theta, phi)
+        mom = momentum_final_bloch(bits, AffineBlochVector.from_bloch(init.bloch))
+        direct = direct_final_bloch(bits, init)
         np.testing.assert_allclose(mom.bloch, direct, atol=1e-10)
 
 
@@ -126,7 +128,6 @@ def test_prefixed_pattern_parse():
     p = pattern_from_bits("010110")
     assert p.prefixed and p.ls == (2, 2, 0)
     assert pattern_bits(p) == "010110"
-    assert p.n_hadamards == 3
     with pytest.raises(ValueError):
         pattern_from_bits("10010010")  # three 0s but no leading 0
     with pytest.raises(ValueError):
@@ -156,6 +157,9 @@ def test_generated_sequence_patterns():
     assert generate_table_sequence(6).bits == "001111"
     assert generate_table_sequence(7).bits == "0010111"
     assert generate_table_sequence(20).bits == "0010" + "1" * 16
+    # generate_table_sequence leaves the conditions unchecked; its docstring says why they hold
+    for T in range(3, 200):
+        assert theorem_predicate(pattern_from_bits(generate_table_sequence(T).bits)), T
     with pytest.raises(NoOptimalSequenceError, match="before step 3"):
         generate_table_sequence(2)
 
@@ -184,7 +188,7 @@ def test_fourier_reference_sequences():
 
 
 def test_affine_bloch_vector():
-    v = AffineBlochVector.from_angles(math.pi / 2.0, 0.0)
+    v = AffineBlochVector.from_bloch(InitialCoinState(math.pi / 2.0, 0.0).bloch)
     np.testing.assert_allclose(v.bloch, [1.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(v.array, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
     w = AffineBlochVector.from_bloch([0.0, 0.6, 0.8])

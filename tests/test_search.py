@@ -21,7 +21,6 @@ from walkmeg import (
     enumerate_fidelities,
     extension_closure_report,
     landscape_scan,
-    optimal_counts,
     rotation_coin,
     sequence_fidelity,
     worker_count,
@@ -119,7 +118,7 @@ def test_threads_share_the_sweep_without_losing_a_chunk():
 
 
 def test_optimal_counts_multiple_tolerances():
-    counts = optimal_counts(5, HADAMARD, IDENTITY)
+    counts = brute_force(5, HADAMARD, IDENTITY).counts
     assert counts[1e-6] == counts[1e-9] == counts[1e-12] == 8
 
 
@@ -255,6 +254,13 @@ def test_coins_are_validated_at_the_search_boundary(monkeypatch):
         anneal(3, AnnealConfig(restarts=1), coins=(bad, IDENTITY))
     with pytest.raises(ValueError, match="not unitary"):
         batch_fidelities(HADAMARD, bad, np.zeros((1, 3), dtype=int))
+
+
+@pytest.mark.parametrize("entry", [-1, 0.7, 2])
+def test_batch_fidelities_refuses_entries_other_than_0_and_1(entry):
+    # read as indices, -1 would score as a 1, 0.7 as a 0, and 2 would fail in the kernel
+    with pytest.raises(ValueError, match="0/1 rows"):
+        batch_fidelities(HADAMARD, IDENTITY, [[0, entry, 1]])
 
 
 @pytest.mark.parametrize("T", [4, 5, 8, 12])

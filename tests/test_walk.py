@@ -10,6 +10,7 @@ from walkmeg import (
     HADAMARD,
     IDENTITY,
     PAULI_Z,
+    AffineBlochVector,
     CoinSequence,
     InitialCoinState,
     WalkerState,
@@ -17,6 +18,8 @@ from walkmeg import (
     build_coin,
     evolve,
     initial_state,
+    momentum_final_bloch,
+    pattern_from_bits,
     position_distribution,
     reduced_coin_state,
     step,
@@ -138,6 +141,13 @@ def test_coin_sequence_validation():
         CoinSequence(HADAMARD, IDENTITY, "0102")
     with pytest.raises(ValueError, match="length T >= 1"):
         CoinSequence(HADAMARD, IDENTITY, "")
+    # the momentum route and the pattern parser take bit strings by the same rule
+    for parse in (lambda bits: momentum_final_bloch(bits, AffineBlochVector(0.0, 0.0, 0.5)),
+                  pattern_from_bits):
+        with pytest.raises(ValueError, match="^bits must contain only 0 and 1, got '012'$"):
+            parse("012")
+        with pytest.raises(ValueError, match="^coin sequence must have length T >= 1$"):
+            parse("")
     seq = CoinSequence(HADAMARD, IDENTITY, "01")
     assert seq.T == 2
     np.testing.assert_array_equal(seq.coin_at(1), HADAMARD)
