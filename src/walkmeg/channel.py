@@ -1,16 +1,16 @@
 """The coin-reduced quantum channel and its process-matrix toolkit.
 
 Running a coin sequence and tracing out the walker defines a qubit channel
-on the coin. This module reconstructs that channel's Pauli transfer matrix
-from the four tomography inputs |H>, |V>, |+>, |L> (bloch_image maps
-sphere samples through it), converts it to the process (chi) matrix in the
-Pauli basis, and scores it against the fully depolarizing channel with the
+on the coin. This module reads that channel's process (chi) matrix in the
+Pauli basis from the momentum kernel of the search module, converts it to
+the Pauli transfer matrix (bloch_image maps sphere samples through it),
+and scores chi matrices against the fully depolarizing channel with the
 Uhlmann process fidelity. Unit fidelity against the depolarizing target
 certifies maximal walker-coin entanglement for every initial coin state.
 
-That tomography chain is the test oracle: the square roots of chi
-eigenvalues leave a ~1e-8 noise floor. sequence_fidelity scores on the
-exact kernel of the search module instead.
+The chi chain (PTM, chi, Uhlmann fidelity) is what the tests compare the
+kernel against: the square roots of chi eigenvalues leave a ~1e-8 noise
+floor. sequence_fidelity scores on the exact kernel instead.
 
 Conventions: Pauli order (1, sigma_x, sigma_y, sigma_z); the chi matrix is
 normalized to trace 1 so the identity channel is diag(1, 0, 0, 0); the PTM
@@ -24,15 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .search import batch_fidelities
+from .search import batch_fidelities, string_chi
 from .sphere import fibonacci_sphere
-from .walk import (
-    TOMOGRAPHY_INPUT_NAMES,
-    CoinSequence,
-    InitialCoinState,
-    evolve,
-    reduced_coin_state,
-)
+from .walk import CoinSequence
 
 __all__ = [
     "NotCompletelyPositiveError",
@@ -64,17 +58,6 @@ def _pauli_stack() -> np.ndarray:
 
 PAULIS = _pauli_stack()
 
-# Tomography inputs |H>, |V>, |+>, |L> and their Bloch vectors.
-_TOMO_STATES = tuple(InitialCoinState.named(name) for name in TOMOGRAPHY_INPUT_NAMES)
-_TOMO_AFFINE = np.array(
-    [
-        [1.0, 1.0, 1.0, 1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [1.0, -1.0, 0.0, 0.0],
-    ]
-)  # columns are (1, x, y, z) per input
-
 
 def _chi_ptm_change_of_basis() -> np.ndarray:
     # R_flat = M chi_flat with M[4m+n, 4p+q] = (1/2) tr(s_m s_p s_n s_q)
@@ -96,20 +79,10 @@ _PTM_TO_CHI = np.linalg.inv(_CHI_TO_PTM)
 def coin_channel_ptm(seq: CoinSequence) -> np.ndarray:
     """Pauli transfer matrix of the coin channel induced by seq.
 
-    Evolves the four tomography inputs, reads the Bloch vector of each
-    reduced coin state, and solves the linear system mapping input affine
-    vectors (1, x, y, z) to outputs. Exact linear inversion; the result is
-    trace preserving by construction of the walk.
+    The chi matrix of the momentum kernel (search.string_chi), converted
+    by chi_to_ptm; trace preserving and unital to round-off.
     """
-    out = np.empty((4, 4))
-    for j, state in enumerate(_TOMO_STATES):
-        rho = reduced_coin_state(evolve(state, seq))
-        out[0, j] = 1.0
-        out[1, j] = rho[0, 1].real + rho[1, 0].real
-        out[2, j] = (1j * (rho[0, 1] - rho[1, 0])).real
-        out[3, j] = rho[0, 0].real - rho[1, 1].real
-    # R V_in = V_out  =>  R = V_out V_in^{-1}
-    return np.linalg.solve(_TOMO_AFFINE.T, out.T).T
+    return chi_to_ptm(string_chi(seq.coin0, seq.coin1, seq.bits))
 
 
 def chi_to_ptm(chi: np.ndarray) -> np.ndarray:

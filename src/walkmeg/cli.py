@@ -83,7 +83,7 @@ ANNEAL_MAX_T = 24  # up to 540k proposals (10 restarts), each O(T^2)
 LANDSCAPE_MAX_GRID = 33  # grid^2 sweeps; 33 refines the default 17 by halving the step
 VERIFY_MAX_T = 40  # 11,480 family strings, each scored once
 VERIFY_PATTERN_MAX_T = 4096
-BLOCH_MAX_T = 4096  # four tomography walks of O(T^2) work each
+BLOCH_MAX_T = 4096  # T steps on 2T+1 momenta: O(T^2) work
 BLOCH_MAX_SAMPLES = 1 << 16
 
 
@@ -179,7 +179,9 @@ def _parse_set(spec: str) -> tuple[np.ndarray, np.ndarray, str]:
             if not in_rotation_range(g):
                 raise ValueError(f"coin angles must lie in [0, pi/2], got {g}")
         return rotation_coin(g0), rotation_coin(g1), _angle_label(g0, g1)
-    names = [tok.strip().upper() for tok in text.split(",") if tok.strip()]
+    names = [tok.strip().upper() for tok in text.split(",")]
+    if "" in names:
+        raise ValueError(f"coin set names must not be empty, got {spec!r}")
     if len(names) == 1:
         coin = named_coin(names[0])
         return coin, coin, names[0]

@@ -20,7 +20,6 @@ __all__ = ["ResultTable", "format_float", "parse_table"]
 # Columns whose values stay strings when parsing back (bit strings would
 # otherwise lose leading zeros through float conversion).
 STRING_COLUMNS = frozenset({"bits", "pattern", "set", "agree", "predicate"})
-INT_COLUMNS = frozenset({"T", "t", "evaluations"})
 
 
 def format_float(value: float) -> str:
@@ -48,8 +47,6 @@ def _format_cell(value) -> str:
 def _parse_cell(column: str, text: str):
     if column in STRING_COLUMNS:
         return text
-    if column in INT_COLUMNS:
-        return int(text)
     try:
         return int(text)
     except ValueError:

@@ -4,8 +4,8 @@ Exhaustive search over all 2^T bit strings, simulated annealing over
 (gamma0, gamma1, bits), and the coin-angle landscape scan all score a
 string by its process fidelity against the fully depolarizing target,
 computed by one momentum-space kernel, which also serves
-channel.sequence_fidelity. It is algebraically identical to the
-tomography route in the channel module; tests assert the equality.
+channel.sequence_fidelity and, through string_chi, the channel's PTM.
+Tests check it against a PTM fitted from state-vector walks.
 
 Exact grid. With the shift S(k) = diag(e^{-ik}, e^{ik}) the walk is
 U(k) = S C_{b_T} ... S C_{b_1}, whose x-th Fourier coefficient is the
@@ -273,6 +273,22 @@ def batch_fidelities(coin0: np.ndarray, coin1: np.ndarray, bits: np.ndarray) -> 
         raise ValueError("bits must be a 2d array of 0/1 rows")
     bits = bits.astype(np.intp)
     return _row_fidelities(_su2_steps((coin0, coin1), 2 * bits.shape[1] + 1), bits)
+
+
+def string_chi(coin0: np.ndarray, coin1: np.ndarray, bits: str) -> np.ndarray:
+    """Trace-1 chi matrix of the coin channel of one 0/1 string, from the kernel.
+
+    The quaternion q = (w, x, y, z) of [[a, b], [-b*, a*]] is the matrix
+    w 1 + i (z sigma_x + y sigma_y + x sigma_z), so with C the Pauli
+    coefficients (w, iz, iy, ix) at each of the n momenta, chi = C^T C* / n.
+    The global phase of the dropped determinants cancels. The coins must
+    already be validated, as CoinSequence does.
+    """
+    rows = np.array([[int(b) for b in bits]], dtype=np.intp)
+    n = 2 * rows.shape[1] + 1
+    q = _string_quaternions(_su2_steps((coin0, coin1), n), rows)[0]
+    c = q[:, [0, 3, 2, 1]] * np.array([1.0, 1j, 1j, 1j])
+    return (c.T @ c.conj()) / n
 
 
 def _sweep_layout(T: int) -> tuple[int, int, int]:

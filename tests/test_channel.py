@@ -10,6 +10,7 @@ from walkmeg import (
     HADAMARD,
     IDENTITY,
     PAULI_X,
+    TOMOGRAPHY_INPUT_NAMES,
     CoinSequence,
     InitialCoinState,
     NotCompletelyPositiveError,
@@ -42,6 +43,29 @@ def bloch_of(rho: np.ndarray) -> np.ndarray:
     return np.array(
         [2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real]
     )
+
+
+# Columns (1, x, y, z) of the tomography inputs |H>, |V>, |+>, |L>.
+TOMOGRAPHY_AFFINE = np.array(
+    [
+        [1.0, 1.0, 1.0, 1.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [1.0, -1.0, 0.0, 0.0],
+    ]
+)
+
+
+def tomography_ptm(seq: CoinSequence) -> np.ndarray:
+    """PTM fitted from state-vector walks of the four tomography inputs.
+
+    The reference for the kernel's PTM: R maps the input columns (1, x, y, z)
+    to the Bloch vectors of the reduced output states.
+    """
+    out = np.ones((4, 4))
+    for j, name in enumerate(TOMOGRAPHY_INPUT_NAMES):
+        out[1:, j] = bloch_of(reduced_coin_state(evolve(InitialCoinState.named(name), seq)))
+    return np.linalg.solve(TOMOGRAPHY_AFFINE.T, out.T).T
 
 
 def test_conversion_identities():
@@ -139,7 +163,7 @@ def test_identity_coin_step_is_z_dephasing():
 
 def test_sequence_fidelity_is_the_pinned_composition():
     seq = CoinSequence(HADAMARD, IDENTITY, "0011")
-    expected = process_fidelity(ptm_to_chi(coin_channel_ptm(seq)), depolarizing_chi(1.0))
+    expected = process_fidelity(ptm_to_chi(tomography_ptm(seq)), depolarizing_chi(1.0))
     assert sequence_fidelity(seq) == expected
 
 
@@ -171,8 +195,18 @@ def test_sequence_fidelity_matches_tomography_chain(name):
     for T in range(1, 8):
         for value in range(1 << T):
             seq = CoinSequence(coin0, coin1, format(value, f"0{T}b"))
-            chain = process_fidelity(ptm_to_chi(coin_channel_ptm(seq)), depolarizing_chi(1.0))
+            chain = process_fidelity(ptm_to_chi(tomography_ptm(seq)), depolarizing_chi(1.0))
             assert abs(sequence_fidelity(seq) - chain) <= 5e-8, seq.bits
+
+
+@pytest.mark.parametrize("name", ["H,F", "H,I", "g:0.4,1.1"])
+def test_kernel_ptm_is_trace_preserving_and_unital(name):
+    coin0, coin1 = SCORED_SETS[name]
+    for T in range(1, 11):
+        for value in range(1 << T):
+            ptm = coin_channel_ptm(CoinSequence(coin0, coin1, format(value, f"0{T}b")))
+            assert np.abs(ptm[0] - [1.0, 0.0, 0.0, 0.0]).max() <= 1e-14, (T, value)
+            assert np.abs(ptm[1:, 0]).max() <= 1e-14, (T, value)
 
 
 def test_bloch_image_collapses_for_optimal_sequence():
@@ -180,6 +214,11 @@ def test_bloch_image_collapses_for_optimal_sequence():
     assert image.n == 200
     np.testing.assert_allclose(np.linalg.norm(image.inputs, axis=1), 1.0, atol=1e-12)
     assert float(np.linalg.norm(image.outputs, axis=1).max()) < 1e-9
+
+
+def test_bloch_image_collapse_keeps_its_round_off_at_a_thousand_steps():
+    image = bloch_image(generate_table_sequence(1000), 296)
+    assert float(np.linalg.norm(image.outputs, axis=1).max()) < 1e-12
 
 
 def test_bloch_image_nontrivial_for_single_step():

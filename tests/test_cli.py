@@ -181,6 +181,9 @@ def test_exit_code_usage_errors(capsys):
     assert run_cli(capsys, "nonsense")[0] == 2
     assert main(["verify", "--max-T", "0"]) == 2
     assert capsys.readouterr().err == "error: --max-T must be >= 1, got 0\n"
+    for spec in ("H,", ",,H", "H,,I"):  # an empty name is refused, not dropped
+        assert main(["search", "brute", "--T", "4", "--set", spec]) == 2
+        assert capsys.readouterr().err == f"error: coin set names must not be empty, got {spec!r}\n"
 
 
 def test_exit_code_resource_guard(capsys):

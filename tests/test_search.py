@@ -18,6 +18,7 @@ from walkmeg import (
     ResourceLimitError,
     anneal,
     brute_force,
+    coin_channel_ptm,
     enumerate_fidelities,
     extension_closure_report,
     landscape_scan,
@@ -62,7 +63,7 @@ def test_brute_force_three_steps():
 
 
 def test_brute_force_against_canonical_fidelity():
-    # the batched Kraus-block route must agree with the tomography route
+    # the sweep must agree with the one-row route of sequence_fidelity
     for T in (2, 4, 7):
         fast = enumerate_fidelities(HADAMARD, IDENTITY, T)
         for value in range(1 << T):
@@ -483,6 +484,21 @@ def test_search_result_carries_one_sweep():
     assert hash(res) == hash(brute_force(7, HADAMARD, PAULI_X))
     with pytest.raises(TypeError):
         res.counts[1e-9] = 0
+
+
+@pytest.mark.parametrize("label", ["H,F", "H,I", "g:0.4,1.1"])
+def test_gram_purity_is_the_ptm_purity(label):
+    # the screen's chi purity ||q^T q||_F^2 / n^2 equals (1 + ||R[1:, 1:]||_F^2) / 4
+    # for the trace-preserving unital channel with PTM R
+    coin0, coin1 = SYMMETRY_SETS[label]
+    for T in range(1, 11):
+        n = 2 * T + 1
+        bits = _bits_matrix(np.arange(1 << T, dtype=np.uint32), T)
+        gram = _gram(_string_quaternions(_su2_steps((coin0, coin1), n), bits))
+        purity = np.einsum("kij,kij->k", gram, gram) / (n * n)
+        for value, p in enumerate(purity):
+            ptm = coin_channel_ptm(CoinSequence(coin0, coin1, format(value, f"0{T}b")))
+            assert abs(p - (1.0 + np.sum(ptm[1:, 1:] ** 2)) / 4.0) <= 1e-14, (T, value)
 
 
 def test_purity_bound_over_random_spectra():
