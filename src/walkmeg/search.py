@@ -4,7 +4,7 @@ Exhaustive search over all 2^T bit strings, simulated annealing over
 (gamma0, gamma1, bits), and the coin-angle landscape scan all score a
 string by its process fidelity against the fully depolarizing target,
 computed by one momentum-space kernel, which also serves
-channel.sequence_fidelity and, through string_chi, the channel's PTM.
+channel.sequence_fidelity and, through string_ptm, the channel's PTM.
 Tests check it against a PTM fitted from state-vector walks.
 
 Exact grid. With the shift S(k) = diag(e^{-ik}, e^{ik}) the walk is
@@ -275,20 +275,33 @@ def batch_fidelities(coin0: np.ndarray, coin1: np.ndarray, bits: np.ndarray) -> 
     return _row_fidelities(_su2_steps((coin0, coin1), 2 * bits.shape[1] + 1), bits)
 
 
-def string_chi(coin0: np.ndarray, coin1: np.ndarray, bits: str) -> np.ndarray:
-    """Trace-1 chi matrix of the coin channel of one 0/1 string, from the kernel.
+# Quaternion indices of v = (z, y, x), the (sigma_x, sigma_y, sigma_z) part of q
+_V = [3, 2, 1]
+_VV = np.ix_(_V, _V)
+
+
+def string_ptm(coin0: np.ndarray, coin1: np.ndarray, bits: str) -> np.ndarray:
+    """Pauli transfer matrix of the coin channel of one 0/1 string, from the kernel.
 
     The quaternion q = (w, x, y, z) of [[a, b], [-b*, a*]] is the matrix
-    w 1 + i (z sigma_x + y sigma_y + x sigma_z), so with C the Pauli
-    coefficients (w, iz, iy, ix) at each of the n momenta, chi = C^T C* / n.
-    The global phase of the dropped determinants cancels. The coins must
-    already be validated, as CoinSequence does.
+    w 1 + i v.sigma with v = (z, y, x), which turns Bloch vectors by
+    R(q) = (w^2 - |v|^2) 1 + 2 v v^T - 2 w [v]_x, where [v]_x a = v x a.
+    The channel is the mean of U(k) . U(k)^dag over the n momenta, so its
+    PTM is the block-diagonal diag(1, B) with B the mean of R(q_k): a
+    linear map of the Gram matrix G = q^T q / n. The global phase of the
+    dropped determinants cancels. The coins must already be validated, as
+    CoinSequence does.
     """
     rows = np.array([[int(b) for b in bits]], dtype=np.intp)
     n = 2 * rows.shape[1] + 1
-    q = _string_quaternions(_su2_steps((coin0, coin1), n), rows)[0]
-    c = q[:, [0, 3, 2, 1]] * np.array([1.0, 1j, 1j, 1j])
-    return (c.T @ c.conj()) / n
+    g = _gram(_string_quaternions(_su2_steps((coin0, coin1), n), rows)[0]) / n
+    gvv = g[_VV]
+    c1, c2, c3 = 2.0 * g[0, _V]  # the mean of 2 w v
+    ptm = np.zeros((4, 4))
+    ptm[0, 0] = 1.0
+    ptm[1:, 1:] = 2.0 * gvv + (g[0, 0] - gvv.trace()) * np.eye(3)
+    ptm[1:, 1:] += [[0.0, c3, -c2], [-c3, 0.0, c1], [c2, -c1, 0.0]]  # the mean of -2 w [v]_x
+    return ptm
 
 
 def _sweep_layout(T: int) -> tuple[int, int, int]:

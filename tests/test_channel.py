@@ -1,4 +1,4 @@
-"""Process-matrix reconstruction, conversions and fidelity."""
+"""The coin channel's PTM, its Bloch image and its fidelity."""
 
 import math
 
@@ -13,30 +13,19 @@ from walkmeg import (
     TOMOGRAPHY_INPUT_NAMES,
     CoinSequence,
     InitialCoinState,
-    NotCompletelyPositiveError,
     bloch_image,
     build_coin,
-    chi_to_ptm,
     coin_channel_ptm,
-    depolarizing_chi,
     evolve,
     generate_table_sequence,
-    process_fidelity,
-    ptm_to_chi,
     reduced_coin_state,
     rotation_coin,
     sequence_fidelity,
-    validate_chi,
 )
 from walkmeg.channel import BlochImage
 
-IDENTITY_CHI = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-
-
-def random_chi(rng) -> np.ndarray:
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    chi = m @ m.conj().T
-    return chi / np.trace(chi).real
+# (1, sigma_x, sigma_y, sigma_z)
+PAULIS = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def bloch_of(rho: np.ndarray) -> np.ndarray:
@@ -68,62 +57,21 @@ def tomography_ptm(seq: CoinSequence) -> np.ndarray:
     return np.linalg.solve(TOMOGRAPHY_AFFINE.T, out.T).T
 
 
-def test_conversion_identities():
-    np.testing.assert_allclose(chi_to_ptm(IDENTITY_CHI), np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(ptm_to_chi(np.eye(4)), IDENTITY_CHI, atol=1e-12)
-    # fully depolarizing: PTM keeps only the trace component
-    np.testing.assert_allclose(
-        chi_to_ptm(depolarizing_chi(1.0)), np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-12
-    )
-    # z-dephasing chi <-> PTM diag(1, 0, 0, 1)
-    dephase = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-    np.testing.assert_allclose(chi_to_ptm(dephase), np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-12)
+def depolarizing_fidelity(ptm: np.ndarray) -> float:
+    """Uhlmann fidelity of the channel with PTM ptm against full depolarizing.
 
-
-def test_conversion_round_trip_random():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        chi = random_chi(rng)
-        np.testing.assert_allclose(ptm_to_chi(chi_to_ptm(chi)), chi, atol=1e-10)
-
-
-def test_ptm_to_chi_rejects_unphysical_maps():
-    with pytest.raises(NotCompletelyPositiveError):
-        ptm_to_chi(np.diag([1.0, 1.2, 1.2, 1.2]))
-
-
-def test_validate_chi_errors():
-    lopsided = IDENTITY_CHI.copy()
-    lopsided[0, 1] = 0.2
-    with pytest.raises(ValueError, match="Hermitian"):
-        validate_chi(lopsided)
-    with pytest.raises(ValueError, match="trace"):
-        validate_chi(2.0 * IDENTITY_CHI)
-    bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError, match="positive"):
-        validate_chi(bad)
-
-
-def test_depolarizing_chi():
-    np.testing.assert_allclose(depolarizing_chi(0.0), IDENTITY_CHI, atol=1e-15)
-    np.testing.assert_allclose(depolarizing_chi(1.0), np.eye(4) / 4.0, atol=1e-15)
-    with pytest.raises(ValueError):
-        depolarizing_chi(1.5)
+    The Choi state is J = (1/4) sum_mn ptm[m, n] sigma_m (x) sigma_n^T and
+    the target's is 1/4, so F = (sum sqrt eig J)^2 / 4. The square roots of
+    near-zero eigenvalues leave a ~1e-8 noise floor.
+    """
+    choi = np.einsum("mn,mij,nlk->ikjl", ptm, PAULIS, PAULIS).reshape(4, 4) / 4.0
+    return float(np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(choi), 0.0, None))) ** 2 / 4.0)
 
 
 def test_process_fidelity_reference_values():
-    assert process_fidelity(depolarizing_chi(1.0), depolarizing_chi(1.0)) == pytest.approx(1.0)
-    assert process_fidelity(IDENTITY_CHI, IDENTITY_CHI) == pytest.approx(1.0)
-    assert process_fidelity(IDENTITY_CHI, depolarizing_chi(1.0)) == pytest.approx(0.25, abs=1e-8)
-
-
-def test_process_fidelity_symmetric_and_monotone():
-    rng = np.random.default_rng(5)
-    a, b = random_chi(rng), random_chi(rng)
-    assert process_fidelity(a, b) == pytest.approx(process_fidelity(b, a), abs=1e-10)
-    etas = np.linspace(0.0, 1.0, 11)
-    values = [process_fidelity(depolarizing_chi(e), depolarizing_chi(1.0)) for e in etas]
-    assert all(v2 > v1 for v1, v2 in zip(values, values[1:]))
+    assert depolarizing_fidelity(np.diag([1.0, 0.0, 0.0, 0.0])) == pytest.approx(1.0)
+    assert depolarizing_fidelity(np.eye(4)) == pytest.approx(0.25)
+    assert depolarizing_fidelity(np.diag([1.0, 0.0, 0.0, 1.0])) == pytest.approx(0.5)
 
 
 def test_one_step_channel_fidelity_is_half_for_any_coin():
@@ -134,7 +82,7 @@ def test_one_step_channel_fidelity_is_half_for_any_coin():
         coin = build_coin(tuple(rng.uniform(0.0, 2.0 * math.pi, 3)))
         for bits in ("0", "1"):
             f = sequence_fidelity(CoinSequence(coin, coin, bits))
-            assert f == pytest.approx(0.5, abs=1e-6)
+            assert f == pytest.approx(0.5, abs=1e-13)
 
 
 def test_tomography_ptm_predicts_all_states():
@@ -148,6 +96,7 @@ def test_tomography_ptm_predicts_all_states():
         ptm = coin_channel_ptm(seq)
         assert ptm.shape == (4, 4)
         np.testing.assert_allclose(ptm[0], [1.0, 0.0, 0.0, 0.0], atol=1e-10)
+        np.testing.assert_allclose(ptm, tomography_ptm(seq), rtol=0.0, atol=1e-13)
         for _ in range(20 // 5):
             init = InitialCoinState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             affine_in = np.concatenate([[1.0], init.bloch])
@@ -163,7 +112,7 @@ def test_identity_coin_step_is_z_dephasing():
 
 def test_sequence_fidelity_is_the_pinned_composition():
     seq = CoinSequence(HADAMARD, IDENTITY, "0011")
-    expected = process_fidelity(ptm_to_chi(tomography_ptm(seq)), depolarizing_chi(1.0))
+    expected = depolarizing_fidelity(tomography_ptm(seq))
     assert sequence_fidelity(seq) == expected
 
 
@@ -190,12 +139,12 @@ def test_sequence_fidelity_first_coin_symmetry(name):
 
 @pytest.mark.parametrize("name", sorted(SCORED_SETS))
 def test_sequence_fidelity_matches_tomography_chain(name):
-    # the chain's square roots of chi eigenvalues leave a ~2e-8 floor
+    # the square roots of Choi eigenvalues leave a ~2e-8 floor
     coin0, coin1 = SCORED_SETS[name]
     for T in range(1, 8):
         for value in range(1 << T):
             seq = CoinSequence(coin0, coin1, format(value, f"0{T}b"))
-            chain = process_fidelity(ptm_to_chi(tomography_ptm(seq)), depolarizing_chi(1.0))
+            chain = depolarizing_fidelity(tomography_ptm(seq))
             assert abs(sequence_fidelity(seq) - chain) <= 5e-8, seq.bits
 
 
@@ -205,8 +154,8 @@ def test_kernel_ptm_is_trace_preserving_and_unital(name):
     for T in range(1, 11):
         for value in range(1 << T):
             ptm = coin_channel_ptm(CoinSequence(coin0, coin1, format(value, f"0{T}b")))
-            assert np.abs(ptm[0] - [1.0, 0.0, 0.0, 0.0]).max() <= 1e-14, (T, value)
-            assert np.abs(ptm[1:, 0]).max() <= 1e-14, (T, value)
+            assert (ptm[0] == [1.0, 0.0, 0.0, 0.0]).all(), (T, value)
+            assert (ptm[1:, 0] == 0.0).all(), (T, value)
 
 
 def test_bloch_image_collapses_for_optimal_sequence():
