@@ -23,9 +23,7 @@ beside them.
 timed in fresh processes (python -m walkmeg.cli, output discarded, CPU
 from the reaped children). With --reference DIR, a checkout of another
 commit, its `src` tree runs the same commands, alternating with this
-tree's, so the two are measured back to back. A "process_pool_reference"
-entry already in the output file, the brute rows timed on a build that
-swept on a process pool, is kept.
+tree's, so the two are measured back to back.
 
 Run from the repository root:
 
@@ -265,10 +263,7 @@ def main(argv=None) -> int:
             "runs": landscape,
         },
     }
-    out = Path(args.out)
-    if out.exists() and "process_pool_reference" in (old := json.loads(out.read_text())):
-        record["process_pool_reference"] = old["process_pool_reference"]
-    out.write_text(json.dumps(record, indent=2) + "\n")
+    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

@@ -37,7 +37,7 @@ for t in range(1, seq.T + 1):
     state = step(state, seq.coin_at(t))
     dist = position_distribution(state)
     s_e = entanglement_entropy(reduced_coin_state(state))
-    s_s = shannon_entropy(dist, t)
+    s_s = shannon_entropy(dist)
     m = second_moment(dist)
     cells = " ".join(f"{p:.4f}" for p in dist.probabilities)
     print(f"{t:>2} {s_e:>10.6f} {s_s:>10.6f} {m:>8.4f}  [{cells}]")

@@ -321,7 +321,7 @@ def _cmd_simulate(ns) -> tuple[ResultTable, int]:
             state.t,
             *padded.tolist(),
             entanglement_entropy(reduced_coin_state(state)),
-            shannon_entropy(dist, state.t),
+            shannon_entropy(dist),
             second_moment(dist),
         )
     return table, 0

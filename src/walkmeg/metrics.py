@@ -106,17 +106,17 @@ def average_entanglement(
     )
 
 
-def shannon_entropy(dist: ProbabilityDistribution | np.ndarray, T: int) -> float:
-    """Normalized Shannon entropy (-sum P ln P) / ln(T+1), with 0 ln 0 = 0.
+def shannon_entropy(dist: ProbabilityDistribution) -> float:
+    """Normalized Shannon entropy (-sum P ln P) / ln(t+1), with 0 ln 0 = 0.
 
-    Equals 1 for the uniform distribution over the T+1 reachable sites.
+    t is the distribution's step count, so the value lies in [0, 1]: a
+    t-step walk reaches at most the t+1 sites of one parity, and the
+    uniform distribution over them gives 1.
     """
-    T = int(T)
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    p = dist.probabilities if isinstance(dist, ProbabilityDistribution) else np.asarray(dist, dtype=float)
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum() / math.log(T + 1))
+    if dist.t < 1:
+        raise ValueError("the distribution must be of a walk of t >= 1 steps")
+    nz = dist.probabilities[dist.probabilities > 0.0]
+    return float(-(nz * np.log(nz)).sum() / math.log(dist.t + 1))
 
 
 def second_moment(dist: ProbabilityDistribution) -> float:
@@ -127,11 +127,9 @@ def second_moment(dist: ProbabilityDistribution) -> float:
 
 @dataclass(frozen=True)
 class MomentSeries:
-    """Second moments m(t) for t = 1..T with a power-law fit m ~ c t^alpha."""
+    """Second moments m(t) for t = 1..T and their power-law fit m ~ prefactor t^alpha."""
 
     values: np.ndarray = field(repr=False)
-    alpha: float = 0.0
-    prefactor: float = 0.0
 
     def __post_init__(self):
         values = np.array(self.values, dtype=np.float64)
@@ -147,32 +145,37 @@ class MomentSeries:
     def T(self) -> int:
         return int(self.values.size)
 
+    @property
+    def alpha(self) -> float:
+        """The fitted exponent; raises ValueError as fit_diffusion_exponent does."""
+        return _power_law_fit(self.values)[0]
 
-def fit_diffusion_exponent(series: MomentSeries | np.ndarray) -> float:
-    """Least-squares slope of ln m(t) against ln t.
+    @property
+    def prefactor(self) -> float:
+        """The fitted c of m ~ c t^alpha; raises ValueError as fit_diffusion_exponent does."""
+        return float(np.exp(_power_law_fit(self.values)[1]))
+
+
+def fit_diffusion_exponent(series: MomentSeries) -> float:
+    """Least-squares slope of ln m(t) against ln t: the series' alpha.
 
     2 for ballistic spreading, 1 for diffusive; strictly between for
     superdiffusive walks. Requires at least three positive values.
     """
-    values = series.values if isinstance(series, MomentSeries) else np.asarray(series, dtype=float)
-    if values.size < 3:
-        raise ValueError("need at least three points to fit an exponent")
-    if np.any(values <= 0.0):
-        raise ValueError("second moments must be positive for a log-log fit")
-    return _power_law_fit(values)[0]
+    return series.alpha
 
 
 def _power_law_fit(values: np.ndarray) -> tuple[float, float]:
     """(slope, intercept) of the least-squares line ln m(t) = slope ln t + intercept, t = 1.."""
+    if values.size < 3:
+        raise ValueError("need at least three points to fit an exponent")
+    if np.any(values <= 0.0):
+        raise ValueError("second moments must be positive for a log-log fit")
     t = np.arange(1, values.size + 1, dtype=float)
     slope, intercept = np.polyfit(np.log(t), np.log(values), 1)
     return float(slope), float(intercept)
 
 
 def walk_moment_series(seq: CoinSequence, init: InitialCoinState) -> MomentSeries:
-    """Evolve stepwise and collect m(t) for t = 1..T, with the fitted exponent."""
-    values = np.array([second_moment(position_distribution(s)) for s in trajectory(init, seq)])
-    if seq.T >= 3 and np.all(values > 0.0):
-        slope, intercept = _power_law_fit(values)
-        return MomentSeries(values=values, alpha=slope, prefactor=float(np.exp(intercept)))
-    return MomentSeries(values=values)
+    """Evolve stepwise and collect m(t) for t = 1..T."""
+    return MomentSeries([second_moment(position_distribution(s)) for s in trajectory(init, seq)])

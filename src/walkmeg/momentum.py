@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,7 +160,7 @@ class SequencePattern:
     prefixed: bool = False
 
     def __post_init__(self):
-        ls = tuple(int(v) for v in self.ls)
+        ls = tuple(map(operator.index, self.ls))
         if len(ls) not in _FAMILIES:
             raise ValueError("pattern needs two or three run lengths")
         if any(v < 0 for v in ls):
@@ -248,7 +249,7 @@ def iter_family_bits(max_len: int):
     exactly one or exactly two 0s, in ascending (T, value) order. Each is
     built from its zero positions.
     """
-    for t in range(1, int(max_len) + 1):
+    for t in range(1, operator.index(max_len) + 1):
         yield from sorted(
             "".join("0" if i in zeros else "1" for i in range(t))
             for runs in _FAMILIES
@@ -269,7 +270,7 @@ def generate_table_sequence(T: int) -> CoinSequence:
     prefixed pattern (1, 1, T-4), whose conditions fail only at
     T in {2, 4, 5, 6}.
     """
-    T = int(T)
+    T = operator.index(T)
     if T < _TABLE_MIN_STEPS:
         raise NoOptimalSequenceError(
             f"maximal entanglement for every initial coin state is impossible "
@@ -301,7 +302,7 @@ FOURIER_TABLE_RANGE = (min(_FOURIER_TABLE), max(_FOURIER_TABLE))
 
 def fourier_table_sequence(T: int) -> CoinSequence:
     """Fixed {H, F} reference sequence for 3 <= T <= 10."""
-    T = int(T)
+    T = operator.index(T)
     if T not in _FOURIER_TABLE:
         raise ValueError(
             f"no {{H, F}} reference sequence for T={T}; available range is "

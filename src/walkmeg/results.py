@@ -59,10 +59,13 @@ def _parse_cell(column: str, text: str):
 
 @dataclass
 class ResultTable:
-    """Rows of homogeneous records plus free-form metadata."""
+    """Rows of homogeneous records plus free-form metadata.
+
+    Rows enter only through append, which checks each row's width.
+    """
 
     columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
+    rows: list[tuple] = field(default_factory=list, init=False)
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -136,7 +137,7 @@ def worker_count(requested: int | None = None) -> int:
     if requested is None:
         affinity = getattr(os, "sched_getaffinity", None)
         requested = len(affinity(0)) if affinity else os.cpu_count() or 1
-    count = max(1, int(requested))
+    count = max(1, operator.index(requested))
     env = os.environ.get("WALKMEG_THREADS")
     if env is not None:
         try:
@@ -376,7 +377,7 @@ def enumerate_fidelities(
     the strings that can reach their worker's running best, which is
     enough for the maximum.
     """
-    T = int(T)
+    T = operator.index(T)
     if not 1 <= T <= BRUTE_FORCE_MAX_T:
         raise ResourceLimitError(
             f"brute force supports 1 <= T <= {BRUTE_FORCE_MAX_T}, got {T}"
@@ -422,7 +423,6 @@ class SearchResult:
     optimal_bits: tuple[str, ...]
     optimal_fidelities: tuple[float, ...]
     counts: MappingProxyType = field(hash=False)
-    evaluations: int
 
     def __post_init__(self):
         if not 0.0 <= self.best_fidelity <= 1.0:
@@ -431,6 +431,11 @@ class SearchResult:
     @property
     def count_optimal(self) -> int:
         return len(self.optimal_bits)
+
+    @property
+    def evaluations(self) -> int:
+        """Strings the sweep covered: all 2^T of them."""
+        return 1 << len(self.best_bits)
 
 
 def brute_force(
@@ -449,7 +454,7 @@ def brute_force(
     BRUTE_LIST_MAX_ROWS strings are optimal. Deterministic for any worker
     split; best_bits also for either stage-4 route.
     """
-    T = int(T)
+    T = operator.index(T)
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
     exact_above = 1.0 - max(tolerance, *COUNT_TOLERANCES)
@@ -467,7 +472,6 @@ def brute_force(
         optimal_bits=tuple(format(int(v), f"0{T}b") for v in hits),
         optimal_fidelities=tuple(fid[hits].tolist()),
         counts=MappingProxyType({tol: int((fid > 1.0 - tol).sum()) for tol in COUNT_TOLERANCES}),
-        evaluations=int(fid.size),
     )
 
 
@@ -581,7 +585,7 @@ def anneal(
     the single seed and returns the best result; ties break toward the
     earliest restart, so the outcome is reproducible.
     """
-    T = int(T)
+    T = operator.index(T)
     if T < 1:
         raise ValueError("T must be >= 1")
     if coins is not None:
@@ -621,7 +625,7 @@ def landscape_scan(
     exact_above=math.inf, so each maximum is the unscreened one bit for
     bit. Guarded at T <= 12 because the cost grows as len(grid)^2 * 2^T.
     """
-    T = int(T)
+    T = operator.index(T)
     if not 1 <= T <= LANDSCAPE_MAX_T:
         raise ResourceLimitError(
             f"landscape scan supports 1 <= T <= {LANDSCAPE_MAX_T}, got {T}"
@@ -670,7 +674,7 @@ def extension_closure_report(
     sets, reported rather than assumed; the extension does fail for some
     strings.
     """
-    max_T = int(max_T)
+    max_T = operator.index(max_T)
     if not 1 <= max_T <= LANDSCAPE_MAX_T:
         raise ResourceLimitError(
             f"closure report supports 1 <= max_T <= {LANDSCAPE_MAX_T}, got {max_T}"

@@ -8,6 +8,7 @@ exactly the same states.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -22,7 +23,7 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     Latitudes are z_i = 1 - (2i+1)/n, longitudes advance by the golden
     angle. Deterministic; unit norm to machine precision.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     i = np.arange(n)

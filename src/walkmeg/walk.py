@@ -92,8 +92,12 @@ TOMOGRAPHY_INPUT_NAMES = tuple(_NAMED_STATES)
 
 
 def require_bits(bits: str) -> str:
-    """Validate and return a bit string as text: 0s and 1s, at least one."""
-    bits = str(bits)
+    """Validate and return a bit string: text of 0s and 1s, at least one.
+
+    Anything but a str raises TypeError: an int would lose its leading 0s.
+    """
+    if not isinstance(bits, str):
+        raise TypeError(f"bits must be a str of 0s and 1s, got {type(bits).__name__}")
     if len(bits) < 1:
         raise ValueError("coin sequence must have length T >= 1")
     if set(bits) - {"0", "1"}:
@@ -132,19 +136,15 @@ class WalkerState:
     """Joint coin-walker amplitudes after t steps.
 
     amplitudes has shape (2, 2t+1); entry (c, i) is the amplitude at coin
-    bit c and position x = i - t.
+    bit c and position x = i - t. The step count t is read from the width.
     """
 
-    t: int
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amp.shape != (2, 2 * self.t + 1):
-            raise ValueError(
-                f"amplitude table for t={self.t} must have shape "
-                f"(2, {2 * self.t + 1}), got {amp.shape}"
-            )
+        if amp.ndim != 2 or amp.shape[0] != 2 or amp.shape[1] % 2 != 1:
+            raise ValueError(f"amplitude table must have shape (2, 2t+1), got {amp.shape}")
         norm = float(np.sum(np.abs(amp) ** 2))
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
@@ -152,27 +152,32 @@ class WalkerState:
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 
+    @property
+    def t(self) -> int:
+        return self.amplitudes.shape[1] // 2
+
 
 @dataclass(frozen=True)
 class ProbabilityDistribution:
-    """Position probabilities P(x) for x = -t .. t."""
+    """Position probabilities P(x) for x = -t .. t; t is read from the length 2t+1."""
 
-    t: int
     probabilities: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=np.float64)
-        if p.shape != (2 * self.t + 1,):
-            raise ValueError(
-                f"distribution for t={self.t} must have {2 * self.t + 1} entries"
-            )
-        if float(p.min(initial=0.0)) < -1e-12:
+        if p.ndim != 1 or p.size % 2 != 1:
+            raise ValueError(f"distribution must have 2t+1 entries, got shape {p.shape}")
+        if float(p.min()) < -1e-12:
             raise ValueError("probabilities must be nonnegative")
         if abs(float(p.sum()) - 1.0) > 1e-10:
             raise ValueError("probabilities must sum to 1")
         p = np.clip(p, 0.0, None)
         p.flags.writeable = False
         object.__setattr__(self, "probabilities", p)
+
+    @property
+    def t(self) -> int:
+        return self.probabilities.size // 2
 
     @property
     def positions(self) -> np.ndarray:
@@ -182,7 +187,7 @@ class ProbabilityDistribution:
 def initial_state(coin: InitialCoinState) -> WalkerState:
     """Walker localized at x = 0 with the given coin state (t = 0)."""
     amp = coin.vector.reshape(2, 1)
-    return WalkerState(0, amp)
+    return WalkerState(amp)
 
 
 def step(state: WalkerState, coin: np.ndarray) -> WalkerState:
@@ -200,7 +205,7 @@ def step(state: WalkerState, coin: np.ndarray) -> WalkerState:
     out = np.zeros((2, n), dtype=np.complex128)
     out[0, 2:] = rotated0
     out[1, :-2] = rotated1
-    return WalkerState(state.t + 1, out)
+    return WalkerState(out)
 
 
 def trajectory(coin: InitialCoinState, seq: CoinSequence) -> Iterator[WalkerState]:
@@ -227,4 +232,4 @@ def reduced_coin_state(state: WalkerState) -> np.ndarray:
 def position_distribution(state: WalkerState) -> ProbabilityDistribution:
     """Position marginal P(x) = sum_c |A(c, x)|^2."""
     p = np.sum(np.abs(state.amplitudes) ** 2, axis=0)
-    return ProbabilityDistribution(state.t, p)
+    return ProbabilityDistribution(p)

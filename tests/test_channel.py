@@ -17,6 +17,7 @@ from walkmeg import (
     build_coin,
     coin_channel_ptm,
     evolve,
+    fibonacci_sphere,
     generate_table_sequence,
     reduced_coin_state,
     rotation_coin,
@@ -175,6 +176,12 @@ def test_bloch_image_nontrivial_for_single_step():
     # dephasing keeps the z component and kills x, y
     np.testing.assert_allclose(image.outputs[:, 2], image.inputs[:, 2], atol=1e-10)
     np.testing.assert_allclose(image.outputs[:, :2], 0.0, atol=1e-10)
+
+
+def test_sphere_size_must_be_an_integer():
+    assert fibonacci_sphere(np.int64(4)).shape == (4, 3)
+    with pytest.raises(TypeError):
+        fibonacci_sphere(4.5)  # truncated, it would sample 4 points
 
 
 def test_bloch_image_validation():

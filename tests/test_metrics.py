@@ -21,10 +21,12 @@ from walkmeg import (
     evolve,
     fit_diffusion_exponent,
     generate_table_sequence,
+    position_distribution,
     reduced_coin_state,
     second_moment,
     shannon_entropy,
     sphere_angles,
+    trajectory,
     walk_moment_series,
 )
 
@@ -53,18 +55,36 @@ def test_entanglement_entropy_rejects_invalid_density_matrices():
 
 def test_shannon_entropy_reference_values():
     # two-step Hadamard walk from |0>: P = (1/4, 1/2, 1/4) on three sites
-    dist = ProbabilityDistribution(2, np.array([0.25, 0.0, 0.5, 0.0, 0.25]))
+    dist = ProbabilityDistribution(np.array([0.25, 0.0, 0.5, 0.0, 0.25]))
     expected = (1.5 * math.log(2.0)) / math.log(3.0)
-    assert shannon_entropy(dist, 2) == pytest.approx(expected, abs=1e-12)
+    assert shannon_entropy(dist) == pytest.approx(expected, abs=1e-12)
     # uniform over the T+1 reachable sites normalizes to exactly 1
-    uniform = ProbabilityDistribution(3, np.array([0.25, 0, 0.25, 0, 0.25, 0, 0.25]))
-    assert shannon_entropy(uniform, 3) == pytest.approx(1.0, abs=1e-12)
+    uniform = ProbabilityDistribution(np.array([0.25, 0, 0.25, 0, 0.25, 0, 0.25]))
+    assert shannon_entropy(uniform) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_shannon_entropy_stays_in_the_unit_interval():
+    # a t-step walk reaches at most the t+1 sites of one parity, and the
+    # normalization reads t from the distribution
+    rng = np.random.default_rng(4021)
+    for k in range(24):
+        if k % 2:
+            coins = (HADAMARD, IDENTITY)
+        else:
+            coins = [build_coin(CoinParameters(*rng.uniform(0.0, 2.0 * math.pi, 3))) for _ in range(2)]
+        T = int(rng.integers(1, 41))
+        seq = CoinSequence(*coins, "".join(rng.choice(["0", "1"], T)))
+        init = InitialCoinState(*rng.uniform(0.0, 2.0 * math.pi, 2))
+        for state in trajectory(init, seq):
+            assert -1e-12 <= shannon_entropy(position_distribution(state)) <= 1.0 + 1e-12
+    with pytest.raises(ValueError, match="t >= 1"):
+        shannon_entropy(ProbabilityDistribution(np.array([1.0])))
 
 
 def test_second_moment():
-    dist = ProbabilityDistribution(3, np.array([0.25, 0, 0.25, 0, 0.25, 0, 0.25]))
+    dist = ProbabilityDistribution(np.array([0.25, 0, 0.25, 0, 0.25, 0, 0.25]))
     assert second_moment(dist) == pytest.approx(5.0, abs=1e-12)
-    origin = ProbabilityDistribution(1, np.array([0.0, 1.0, 0.0]))
+    origin = ProbabilityDistribution(np.array([0.0, 1.0, 0.0]))
     assert second_moment(origin) == 0.0
 
 
@@ -114,6 +134,16 @@ def test_fit_recovers_exact_power_laws():
     for alpha in (1.0, 1.5, 2.0):
         series = MomentSeries(values=0.5 * t**alpha)
         assert fit_diffusion_exponent(series) == pytest.approx(alpha, abs=1e-9)
+
+
+def test_moment_series_fit_is_derived_from_its_values():
+    series = MomentSeries(np.array([1.0, 4.0, 9.0]))
+    assert series.alpha == fit_diffusion_exponent(series) == pytest.approx(2.0, abs=1e-12)
+    assert series.prefactor == pytest.approx(1.0, abs=1e-12)
+    for values in ([1.0, 4.0], [0.0, 1.0, 4.0]):  # too short; not positive
+        for read in (lambda s: s.alpha, lambda s: s.prefactor, fit_diffusion_exponent):
+            with pytest.raises(ValueError):
+                read(MomentSeries(np.array(values)))
 
 
 def test_walk_moments_identity_coin_are_ballistic():

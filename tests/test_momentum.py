@@ -144,6 +144,23 @@ def test_pattern_validation():
     assert SequencePattern((2, 0, 1)).T == 5
 
 
+# Each sized entry point, called with a size: a float must raise, not be truncated.
+SIZED_MOMENTUM_CALLS = {
+    "SequencePattern": lambda n: SequencePattern((n, 1)),
+    "iter_family_bits": lambda n: list(iter_family_bits(n)),
+    "generate_table_sequence": generate_table_sequence,
+    "fourier_table_sequence": fourier_table_sequence,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_MOMENTUM_CALLS))
+def test_momentum_sizes_must_be_integers(name):
+    call = SIZED_MOMENTUM_CALLS[name]
+    call(np.int64(7))  # numpy integers are integers
+    with pytest.raises(TypeError):
+        call(7.9)
+
+
 def test_generated_sequences_reach_unit_fidelity_up_to_twenty():
     for T in range(3, 21):
         seq = generate_table_sequence(T)

@@ -23,6 +23,15 @@ def sample_table() -> ResultTable:
     return table
 
 
+def test_rows_enter_only_through_append():
+    with pytest.raises(TypeError):
+        ResultTable(("a",), rows=[(1, 2)])  # would skip append's width check
+    table = ResultTable(("a",))
+    with pytest.raises(ValueError, match="expected 1 values, got 2"):
+        table.append(1, 2)
+    assert table.rows == []
+
+
 def test_format_float_round_trips_doubles():
     for value in (math.pi, 1.0, 0.1, 1e-300, 5.0 / 3.0, 1.0 - 2.5e-16, -0.0):
         assert float(format_float(value)) == value

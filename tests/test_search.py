@@ -14,10 +14,12 @@ from walkmeg import (
     PAULI_X,
     PAULI_Z,
     AnnealConfig,
+    CoinParameters,
     CoinSequence,
     ResourceLimitError,
     anneal,
     brute_force,
+    build_coin,
     coin_channel_ptm,
     enumerate_fidelities,
     extension_closure_report,
@@ -34,6 +36,7 @@ from walkmeg.search import (
     _bits_matrix,
     _gram,
     _purity_bound,
+    _stack_fidelities,
     _string_quaternions,
     _su2_steps,
     batch_fidelities,
@@ -132,6 +135,25 @@ def test_resource_guards():
         landscape_scan(13, [0.0, math.pi / 4.0])
     with pytest.raises(ResourceLimitError):
         extension_closure_report(HADAMARD, IDENTITY, max_T=13)
+
+
+# Each sized entry point, called with a size: a float must raise, not be truncated.
+SIZED_SEARCH_CALLS = {
+    "enumerate_fidelities": lambda T: enumerate_fidelities(HADAMARD, IDENTITY, T),
+    "brute_force": lambda T: brute_force(T, HADAMARD, IDENTITY),
+    "anneal": lambda T: anneal(T, AnnealConfig(restarts=1), coins=(HADAMARD, IDENTITY)),
+    "landscape_scan": lambda T: landscape_scan(T, [0.5]),
+    "extension_closure_report": lambda T: extension_closure_report(HADAMARD, IDENTITY, T),
+    "worker_count": worker_count,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_SEARCH_CALLS))
+def test_search_sizes_must_be_integers(name):
+    call = SIZED_SEARCH_CALLS[name]
+    call(np.int64(3))  # numpy integers are integers
+    with pytest.raises(TypeError):
+        call(3.9)
 
 
 def test_worker_count_env_cap(monkeypatch):
@@ -393,6 +415,24 @@ def test_small_sweeps_start_no_pool(monkeypatch):
             enumerate_fidelities(HADAMARD, IDENTITY, 12, workers=2)
     got = enumerate_fidelities(HADAMARD, IDENTITY, 12, workers=2)
     assert got.tobytes() == expected.tobytes()
+
+
+def test_kernel_does_not_depend_on_the_grid_size():
+    # U(k) has trigonometric-polynomial entries of degree <= T, so every grid
+    # of n >= 2T+1 momenta gives the same fidelities and the same mean Gram
+    # matrix: a stack of 17 strings takes the Gram route, one string the SVD.
+    rng = np.random.default_rng(1931)
+    for _ in range(12):
+        coins = [build_coin(CoinParameters(*rng.uniform(0.0, 2.0 * math.pi, 3))) for _ in range(2)]
+        T = int(rng.integers(1, 20))
+        bits = rng.integers(0, 2, (_GRAM_MIN_STACK + 1, T))
+        scores = []
+        for n in (2 * T + 1, 2 * T + 2, 4 * T + 3, 6 * T + 5):
+            q = _string_quaternions(_su2_steps(coins, n), bits)
+            scores.append((_stack_fidelities(q)[0], _stack_fidelities(q[:1])[0], _gram(q) / n))
+        for got in scores[1:]:
+            for value, reference in zip(got, scores[0]):
+                np.testing.assert_allclose(value, reference, rtol=0.0, atol=1e-14)
 
 
 def test_enumeration_guards_its_length():

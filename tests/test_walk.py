@@ -154,14 +154,31 @@ def test_coin_sequence_validation():
     np.testing.assert_array_equal(seq.coin_at(2), IDENTITY)
 
 
+BIT_PARSERS = {
+    "CoinSequence": lambda bits: CoinSequence(HADAMARD, IDENTITY, bits),
+    "pattern_from_bits": pattern_from_bits,
+    "momentum_final_bloch": lambda bits: momentum_final_bloch(bits, AffineBlochVector(0.0, 0.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIT_PARSERS))
+def test_bits_must_be_text(name):
+    parse = BIT_PARSERS[name]
+    parse(np.str_("0010111"))  # a str subclass is text
+    # str(int("0010111")) is "10111": a different walk, T = 5
+    for bits in (int("0010111"), 1101, b"0110", ["0", "1"]):
+        with pytest.raises(TypeError, match="^bits must be a str of 0s and 1s"):
+            parse(bits)
+
+
 def test_state_and_distribution_validation():
     with pytest.raises(ValueError, match="norm"):
-        WalkerState(0, np.array([[0.5], [0.0]]))
+        WalkerState(np.array([[0.5], [0.0]]))
     with pytest.raises(ValueError, match="shape"):
-        WalkerState(1, np.array([[1.0], [0.0]]))
+        WalkerState(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="sum to 1"):
-        ProbabilityDistribution(1, np.array([0.5, 0.0, 0.1]))
+        ProbabilityDistribution(np.array([0.5, 0.0, 0.1]))
     with pytest.raises(ValueError, match="nonnegative"):
-        ProbabilityDistribution(1, np.array([1.1, 0.0, -0.1]))
-    dist = ProbabilityDistribution(1, np.array([0.5, 0.0, 0.5]))
+        ProbabilityDistribution(np.array([1.1, 0.0, -0.1]))
+    dist = ProbabilityDistribution(np.array([0.5, 0.0, 0.5]))
     np.testing.assert_array_equal(dist.positions, [-1, 0, 1])
