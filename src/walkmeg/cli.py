@@ -8,6 +8,12 @@ search          brute | anneal | landscape optimization drivers
 verify          closed-form optimality conditions vs measured fidelity
 bloch           channel image of a sphere of initial coin states
 
+A run flows through four steps: the parser reads the command line; the
+shared checks (_check_shared) test what every subcommand shares; the
+subcommand's handler computes and returns its columns, its rows (possibly
+lazy), its own metadata and the exit code; and main, the one place that
+makes a table, echoes the command, builds the table and writes it.
+
 Every run emits a single table (CSV by default, JSON via --format json)
 whose metadata echoes the normalized command line, so any output file can
 be reproduced byte for byte by re-running the echoed command. The echo is
@@ -298,48 +304,47 @@ def _metadata(ns) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (columns, rows, metadata, exit code) for main
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(ns) -> tuple[ResultTable, int]:
+def _cmd_simulate(ns) -> tuple:
     T = _parse_T(ns.T)
     _guard("simulate --T", T, SIMULATE_MAX_T)
     coin0, coin1, label = _parse_set(ns.set)
     bits = _resolve_bits(ns.bits, T, coin0, coin1, label)
     init = _parse_init(ns.init)
-    metadata = _metadata(ns)
-    metadata["set"] = label
-    metadata["bits"] = bits
+
+    def rows():
+        # a generator: main appends each row as it comes, so none is held twice
+        for state in trajectory(init, CoinSequence(coin0, coin1, bits)):
+            dist = position_distribution(state)
+            padded = np.zeros(2 * T + 1)
+            padded[T - state.t : T + state.t + 1] = dist.probabilities
+            yield (
+                state.t,
+                *padded.tolist(),
+                entanglement_entropy(reduced_coin_state(state)),
+                shannon_entropy(dist),
+                second_moment(dist),
+            )
 
     columns = ("t", *(f"P({x})" for x in range(-T, T + 1)), "S_E", "S_S", "m")
-    table = ResultTable(columns, metadata=metadata)
-    for state in trajectory(init, CoinSequence(coin0, coin1, bits)):
-        dist = position_distribution(state)
-        padded = np.zeros(2 * T + 1)
-        padded[T - state.t : T + state.t + 1] = dist.probabilities
-        table.append(
-            state.t,
-            *padded.tolist(),
-            entanglement_entropy(reduced_coin_state(state)),
-            shannon_entropy(dist),
-            second_moment(dist),
-        )
-    return table, 0
+    return columns, rows(), {"set": label, "bits": bits}, 0
 
 
-def _cmd_fidelity_curve(ns) -> tuple[ResultTable, int]:
+def _cmd_fidelity_curve(ns) -> tuple:
     lo, hi = _parse_T_range(ns.T_range)
     _guard("fidelity-curve --T-range", hi, FIDELITY_CURVE_MAX_T)
     coin0, coin1, label = _parse_set(ns.set)
-    table = ResultTable(("T", "set", "bits", "fidelity"), metadata=_metadata(ns))
-    for T in range(lo, hi + 1):
+
+    def row(T):
         bits = _resolve_bits(ns.bits, T, coin0, coin1, label)
-        fid = sequence_fidelity(CoinSequence(coin0, coin1, bits))
-        table.append(T, label, bits, fid)
-    return table, 0
+        return T, label, bits, sequence_fidelity(CoinSequence(coin0, coin1, bits))
+
+    return ("T", "set", "bits", "fidelity"), map(row, range(lo, hi + 1)), {}, 0
 
 
-def _cmd_search(ns) -> tuple[ResultTable, int]:
+def _cmd_search(ns) -> tuple:
     T = _parse_T(ns.T)
     if ns.mode != "landscape":
         if ns.grid is not None:
@@ -348,58 +353,49 @@ def _cmd_search(ns) -> tuple[ResultTable, int]:
         raise ValueError("search landscape scans the coin angles and takes no --set")
     elif ns.grid is None:
         ns.grid = _LANDSCAPE_GRID_DEFAULT
-    metadata = _metadata(ns)
-    metadata["mode"] = ns.mode
 
     if ns.mode == "brute":
         coin0, coin1, label = _parse_set(ns.set if ns.set is not None else "H,I")
-        metadata["set"] = label
         result = brute_force(T, coin0, coin1, ns.tolerance)
-        metadata["best_fidelity"] = result.best_fidelity
-        metadata["count_optimal"] = result.count_optimal
-        metadata["evaluations"] = result.evaluations
-        for tol, count in result.counts.items():
-            metadata[f"count_{tol:.0e}"] = count
-        table = ResultTable(("bits", "fidelity"), metadata=metadata)
-        for row in zip(result.optimal_bits, result.optimal_fidelities):
-            table.append(*row)
-        return table, 0
+        metadata = {
+            "mode": ns.mode,
+            "set": label,
+            "best_fidelity": result.best_fidelity,
+            "count_optimal": result.count_optimal,
+            "evaluations": result.evaluations,
+            **{f"count_{tol:.0e}": count for tol, count in result.counts.items()},
+        }
+        rows = zip(result.optimal_bits, result.optimal_fidelities)
+        return ("bits", "fidelity"), rows, metadata, 0
 
     if ns.mode == "anneal":
         _guard("search anneal --T", T, ANNEAL_MAX_T)
         config = AnnealConfig(seed=ns.seed_value)
-        metadata["restarts"] = config.restarts
         if ns.set is None:
             result = anneal(T, config)
             label = _angle_label(result.gamma0, result.gamma1)
         else:
             coin0, coin1, label = _parse_set(ns.set)
             result = anneal(T, config, coins=(coin0, coin1))
-        table = ResultTable(("set", "bits", "fidelity"), metadata=metadata)
-        table.append(label, result.bits, result.fidelity)
-        return table, 0
+        metadata = {"mode": ns.mode, "restarts": config.restarts}
+        return ("set", "bits", "fidelity"), [(label, result.bits, result.fidelity)], metadata, 0
 
     # landscape
     grid_n = int(ns.grid)
     if grid_n < 2:
         raise ValueError("--grid must be >= 2")
     _guard("search landscape --grid", grid_n, LANDSCAPE_MAX_GRID)
-    metadata["grid"] = grid_n
     angles = [float(g) for g in np.linspace(*ROTATION_ANGLES, grid_n)]
-    points = landscape_scan(T, angles)
-    table = ResultTable(("gamma0", "gamma1", "best_fidelity"), metadata=metadata)
-    for point in points:
-        table.append(point.gamma0, point.gamma1, point.best_fidelity)
-    return table, 0
+    rows = ((p.gamma0, p.gamma1, p.best_fidelity) for p in landscape_scan(T, angles))
+    return ("gamma0", "gamma1", "best_fidelity"), rows, {"mode": ns.mode, "grid": grid_n}, 0
 
 
-def _cmd_verify(ns) -> tuple[ResultTable, int]:
+def _cmd_verify(ns) -> tuple:
     if ns.pattern is None:
         if ns.max_T is None:
             ns.max_T = _VERIFY_MAX_T_DEFAULT
     elif ns.max_T is not None:
         raise ValueError("verify takes --pattern or --max-T, not both")
-    metadata = _metadata(ns)
 
     if ns.pattern is not None:
         pattern = SequencePattern(tuple(int(v) for v in ns.pattern.split(",")))
@@ -414,16 +410,17 @@ def _cmd_verify(ns) -> tuple[ResultTable, int]:
     hadamard, identity = named_coin("H"), named_coin("I")
     fidelities = []
     for _, group in itertools.groupby(family, key=len):
-        rows = [[int(b) for b in bits] for bits in group]
-        fidelities.extend(batch_fidelities(hadamard, identity, rows).tolist())
-    table = ResultTable(("pattern", "predicate", "fidelity", "agree"), metadata=metadata)
+        strings = [[int(b) for b in bits] for bits in group]
+        fidelities.extend(batch_fidelities(hadamard, identity, strings).tolist())
+    # the metadata counts the disagreements, so the rows are made here, not lazily
+    rows = []
     disagreements = 0
     for pattern, fidelity in zip(family.values(), fidelities):
         predicted = theorem_predicate(pattern)
         agree = predicted == (fidelity > 1.0 - ns.tolerance)
         text = ",".join(str(v) for v in pattern.ls)
-        table.append(text, "true" if predicted else "false", fidelity,
-                     "true" if agree else "false")
+        rows.append((text, "true" if predicted else "false", fidelity,
+                     "true" if agree else "false"))
         if not agree:
             disagreements += 1
             print(
@@ -432,11 +429,11 @@ def _cmd_verify(ns) -> tuple[ResultTable, int]:
                 f"{format_float(fidelity)}",
                 file=sys.stderr,
             )
-    metadata["disagreements"] = disagreements
-    return table, 0 if not disagreements else 4
+    columns = ("pattern", "predicate", "fidelity", "agree")
+    return columns, rows, {"disagreements": disagreements}, 0 if not disagreements else 4
 
 
-def _cmd_bloch(ns) -> tuple[ResultTable, int]:
+def _cmd_bloch(ns) -> tuple:
     T = _parse_T(ns.T, minimum=0)
     _guard("bloch --T", T, BLOCH_MAX_T)
     coin0, coin1, label = _parse_set(ns.set)
@@ -444,28 +441,24 @@ def _cmd_bloch(ns) -> tuple[ResultTable, int]:
     if n_samples < 1:
         raise ValueError("--ensemble must be >= 1")
     _guard("bloch --ensemble", n_samples, BLOCH_MAX_SAMPLES)
-    metadata = _metadata(ns)
-    metadata["set"] = label
 
     if T == 0:
         # zero steps leave the coin untouched: the identity-channel self-test;
         # no literal has length 0, so this refuses every literal
         _is_literal(ns.bits, T)
+        bits = ""
         inputs = outputs = fibonacci_sphere(n_samples)
-        metadata["bits"] = ""
     else:
         bits = _resolve_bits(ns.bits, T, coin0, coin1, label)
-        metadata["bits"] = bits
         image = bloch_image(CoinSequence(coin0, coin1, bits), n_samples)
         inputs, outputs = image.inputs, image.outputs
-    metadata["max_output_norm"] = float(np.max(np.linalg.norm(outputs, axis=1)))
-
-    table = ResultTable(
-        ("x_in", "y_in", "z_in", "x_out", "y_out", "z_out"), metadata=metadata
-    )
-    for row_in, row_out in zip(inputs.tolist(), outputs.tolist()):
-        table.append(*row_in, *row_out)
-    return table, 0
+    metadata = {
+        "set": label,
+        "bits": bits,
+        "max_output_norm": float(np.max(np.linalg.norm(outputs, axis=1))),
+    }
+    columns = ("x_in", "y_in", "z_in", "x_out", "y_out", "z_out")
+    return columns, np.hstack((inputs, outputs)).tolist(), metadata, 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -477,7 +470,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         _check_shared(ns)
-        table, code = ns.handler(ns)
+        columns, rows, metadata, code = ns.handler(ns)
+        # the handler has filled in its mode-only defaults, so the echo carries them
+        table = ResultTable(columns, metadata={**_metadata(ns), **metadata})
+        for row in rows:
+            table.append(*row)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -132,18 +132,24 @@ def worker_count(requested: int | None = None) -> int:
 
     An explicit request is honored as given; the default is the number of
     CPUs this process may run on. Either way the WALKMEG_THREADS
-    environment variable, when set, caps the result.
+    environment variable, when set, caps the result. A request or a
+    WALKMEG_THREADS value below 1 raises ValueError.
     """
     if requested is None:
         affinity = getattr(os, "sched_getaffinity", None)
         requested = len(affinity(0)) if affinity else os.cpu_count() or 1
-    count = max(1, operator.index(requested))
+    count = operator.index(requested)
+    if count < 1:
+        raise ValueError(f"worker count must be an integer >= 1, got {requested!r}")
     env = os.environ.get("WALKMEG_THREADS")
     if env is not None:
         try:
-            count = min(count, max(1, int(env)))
+            cap = int(env)
         except ValueError:
             raise ValueError(f"WALKMEG_THREADS must be an integer, got {env!r}") from None
+        if cap < 1:
+            raise ValueError(f"WALKMEG_THREADS must be an integer >= 1, got {env!r}")
+        count = min(count, cap)
     return count
 
 

@@ -394,6 +394,45 @@ def test_json_format(capsys):
     assert len(table.rows) == 2
 
 
+def test_thread_cap_below_one_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("WALKMEG_THREADS", "0")
+    assert main(["search", "brute", "--T", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: WALKMEG_THREADS must be an integer >= 1, got '0'\n"
+
+
+# the README's headline commands, plus a single pattern, the identity self-test
+# and a search without optimal rows
+SAME_TABLE_IN_BOTH_FORMATS = [
+    ("simulate", "--T", "10", "--set", "H,I", "--bits", "table", "--init", "+"),
+    ("fidelity-curve", "--T-range", "2:12", "--set", "H,X"),
+    ("search", "brute", "--T", "16", "--set", "H,I"),
+    ("search", "anneal", "--T", "8", "--seed", "3"),
+    ("search", "landscape", "--T", "5", "--grid", "17"),
+    ("verify", "--max-T", "12"),
+    ("bloch", "--T", "10", "--set", "H,I", "--bits", "table", "--n", "296"),
+    ("verify", "--pattern", "3,2"),
+    ("bloch", "--T", "0", "--n", "4"),
+    ("search", "brute", "--T", "3"),
+]
+
+
+@pytest.mark.parametrize("args", SAME_TABLE_IN_BOTH_FORMATS, ids=" ".join)
+def test_csv_and_json_carry_the_same_table(args, capsys):
+    code, csv_text = run_cli(capsys, *args)
+    code_json, json_text = run_cli(capsys, *args, "--format", "json")
+    assert code == code_json == 0
+    from_csv, from_json = parse_table(csv_text), parse_table(json_text)
+    assert from_csv.columns == from_json.columns
+    assert from_csv.rows == from_json.rows
+    # the echoed commands differ in their --format only
+    echo = from_csv.metadata.pop("command")
+    assert " --format csv" in echo
+    assert from_json.metadata.pop("command") == echo.replace(" --format csv", " --format json")
+    assert from_csv.metadata == from_json.metadata
+
+
 def test_replay_property(capsys):
     commands = [
         ("simulate", "--T", "3", "--set", "H,I", "--bits", "001", "--init", "+"),

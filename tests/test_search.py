@@ -167,6 +167,23 @@ def test_worker_count_env_cap(monkeypatch):
         worker_count(4)
 
 
+@pytest.mark.parametrize("requested", [0, -5])
+def test_worker_count_refuses_a_request_below_one(requested, monkeypatch):
+    monkeypatch.delenv("WALKMEG_THREADS", raising=False)
+    with pytest.raises(ValueError, match=r"worker count must be an integer >= 1"):
+        worker_count(requested)
+    # a sweep of more than one chunk must not fall back to one thread
+    with pytest.raises(ValueError, match=r"worker count must be an integer >= 1"):
+        brute_force(12, HADAMARD, IDENTITY, workers=requested)
+
+
+@pytest.mark.parametrize("env", ["0", "-2"])
+def test_worker_count_refuses_a_thread_cap_below_one(env, monkeypatch):
+    monkeypatch.setenv("WALKMEG_THREADS", env)
+    with pytest.raises(ValueError, match=r"WALKMEG_THREADS must be an integer >= 1"):
+        worker_count(4)
+
+
 def test_worker_count_default_follows_cpu_affinity(monkeypatch):
     monkeypatch.delenv("WALKMEG_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
