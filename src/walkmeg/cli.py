@@ -44,8 +44,6 @@ from .metrics import (
     shannon_entropy,
 )
 from .momentum import (
-    FOURIER_TABLE_RANGE,
-    NoOptimalSequenceError,
     SequencePattern,
     fourier_table_sequence,
     generate_table_sequence,
@@ -211,16 +209,22 @@ def _parse_init(spec: str) -> InitialCoinState:
     return InitialCoinState.named(text)
 
 
-def _guard(what: str, value: int, limit: int) -> None:
+def _guard(what: str, value: int, limit: float) -> None:
     if value > limit:
         raise ResourceLimitError(f"{what} is limited to {limit}, got {value}")
 
 
-def _parse_T(raw: str, minimum: int = 1, flag: str = "--T") -> int:
-    T = int(raw)
-    if T < minimum:
-        raise ValueError(f"{flag} must be >= {minimum}, got {T}")
-    return T
+def _sized(raw: str, what: str, minimum: int, limit: float = float("inf")) -> int:
+    """Parse a sized option: below minimum is a usage error, above limit a guard.
+
+    what names the subcommand and the flag, as in "simulate --T"; the usage
+    error names the flag alone.
+    """
+    value = int(raw)
+    if value < minimum:
+        raise ValueError(f"{what.rpartition(' ')[2]} must be >= {minimum}, got {value}")
+    _guard(what, value, limit)
+    return value
 
 
 def _parse_T_range(raw: str) -> tuple[int, int]:
@@ -253,15 +257,16 @@ def _check_shared(ns) -> None:
         raise ValueError(f"--seed must be a non-negative integer, got {ns.seed!r}")
 
 
+# The built-in sequence of each --set label; a maker raises ValueError
+# where no entry covers T.
+_TABLES = {"H,I": generate_table_sequence, "H,F": fourier_table_sequence}
+
+
 def _table_bits(T: int, set_label: str) -> str | None:
-    if set_label == "H,I":
-        try:
-            return generate_table_sequence(T).bits
-        except NoOptimalSequenceError:
-            return None
-    if set_label == "H,F" and FOURIER_TABLE_RANGE[0] <= T <= FOURIER_TABLE_RANGE[1]:
-        return fourier_table_sequence(T).bits
-    return None
+    try:
+        return _TABLES[set_label](T).bits
+    except (KeyError, ValueError):
+        return None
 
 
 def _is_literal(choice: str, T: int) -> bool:
@@ -308,8 +313,7 @@ def _metadata(ns) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(ns) -> tuple:
-    T = _parse_T(ns.T)
-    _guard("simulate --T", T, SIMULATE_MAX_T)
+    T = _sized(ns.T, "simulate --T", 1, SIMULATE_MAX_T)
     coin0, coin1, label = _parse_set(ns.set)
     bits = _resolve_bits(ns.bits, T, coin0, coin1, label)
     init = _parse_init(ns.init)
@@ -345,7 +349,7 @@ def _cmd_fidelity_curve(ns) -> tuple:
 
 
 def _cmd_search(ns) -> tuple:
-    T = _parse_T(ns.T)
+    T = _sized(ns.T, "search --T", 1)
     if ns.mode != "landscape":
         if ns.grid is not None:
             raise ValueError(f"--grid applies to search landscape only, not search {ns.mode}")
@@ -369,7 +373,7 @@ def _cmd_search(ns) -> tuple:
         return ("bits", "fidelity"), rows, metadata, 0
 
     if ns.mode == "anneal":
-        _guard("search anneal --T", T, ANNEAL_MAX_T)
+        _sized(ns.T, "search anneal --T", 1, ANNEAL_MAX_T)
         config = AnnealConfig(seed=ns.seed_value)
         if ns.set is None:
             result = anneal(T, config)
@@ -381,10 +385,7 @@ def _cmd_search(ns) -> tuple:
         return ("set", "bits", "fidelity"), [(label, result.bits, result.fidelity)], metadata, 0
 
     # landscape
-    grid_n = int(ns.grid)
-    if grid_n < 2:
-        raise ValueError("--grid must be >= 2")
-    _guard("search landscape --grid", grid_n, LANDSCAPE_MAX_GRID)
+    grid_n = _sized(ns.grid, "search landscape --grid", 2, LANDSCAPE_MAX_GRID)
     angles = [float(g) for g in np.linspace(*ROTATION_ANGLES, grid_n)]
     rows = ((p.gamma0, p.gamma1, p.best_fidelity) for p in landscape_scan(T, angles))
     return ("gamma0", "gamma1", "best_fidelity"), rows, {"mode": ns.mode, "grid": grid_n}, 0
@@ -402,8 +403,7 @@ def _cmd_verify(ns) -> tuple:
         _guard("verify --pattern length", pattern.T, VERIFY_PATTERN_MAX_T)
         family = {pattern_bits(pattern): pattern}
     else:
-        max_T = _parse_T(ns.max_T, flag="--max-T")
-        _guard("verify --max-T", max_T, VERIFY_MAX_T)
+        max_T = _sized(ns.max_T, "verify --max-T", 1, VERIFY_MAX_T)
         family = {bits: pattern_from_bits(bits) for bits in iter_family_bits(max_T)}
 
     # one kernel call per length; the strings come in ascending length
@@ -434,13 +434,9 @@ def _cmd_verify(ns) -> tuple:
 
 
 def _cmd_bloch(ns) -> tuple:
-    T = _parse_T(ns.T, minimum=0)
-    _guard("bloch --T", T, BLOCH_MAX_T)
+    T = _sized(ns.T, "bloch --T", 0, BLOCH_MAX_T)
     coin0, coin1, label = _parse_set(ns.set)
-    n_samples = int(ns.ensemble)
-    if n_samples < 1:
-        raise ValueError("--ensemble must be >= 1")
-    _guard("bloch --ensemble", n_samples, BLOCH_MAX_SAMPLES)
+    n_samples = _sized(ns.ensemble, "bloch --ensemble", 1, BLOCH_MAX_SAMPLES)
 
     if T == 0:
         # zero steps leave the coin untouched: the identity-channel self-test;

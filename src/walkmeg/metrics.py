@@ -33,7 +33,6 @@ __all__ = [
     "shannon_entropy",
     "second_moment",
     "walk_moment_series",
-    "fit_diffusion_exponent",
 ]
 
 DEFAULT_ENSEMBLE = 296
@@ -147,22 +146,18 @@ class MomentSeries:
 
     @property
     def alpha(self) -> float:
-        """The fitted exponent; raises ValueError as fit_diffusion_exponent does."""
+        """The diffusion exponent: the least-squares slope of ln m(t) against ln t.
+
+        2 for ballistic spreading, 1 for diffusive; strictly between for
+        superdiffusive walks. Raises ValueError for fewer than three values
+        or a value that is not positive.
+        """
         return _power_law_fit(self.values)[0]
 
     @property
     def prefactor(self) -> float:
-        """The fitted c of m ~ c t^alpha; raises ValueError as fit_diffusion_exponent does."""
+        """The fitted c of m ~ c t^alpha; raises ValueError as alpha does."""
         return float(np.exp(_power_law_fit(self.values)[1]))
-
-
-def fit_diffusion_exponent(series: MomentSeries) -> float:
-    """Least-squares slope of ln m(t) against ln t: the series' alpha.
-
-    2 for ballistic spreading, 1 for diffusive; strictly between for
-    superdiffusive walks. Requires at least three positive values.
-    """
-    return series.alpha
 
 
 def _power_law_fit(values: np.ndarray) -> tuple[float, float]:

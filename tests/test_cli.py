@@ -353,6 +353,26 @@ def test_resource_guard_refuses_oversized_input(name, capsys):
     assert captured.err == f"error: {what} is limited to {limit}, got {request}\n"
 
 
+# one request per sized option below its minimum: (argv, flag, minimum, value)
+UNDERSIZED = {
+    "simulate T": (["simulate", "--T", "0"], "--T", 1, 0),
+    "brute T": (["search", "brute", "--T", "0"], "--T", 1, 0),
+    "grid": (["search", "landscape", "--T", "3", "--grid", "1"], "--grid", 2, 1),
+    "max-T": (["verify", "--max-T", "0"], "--max-T", 1, 0),
+    "bloch T": (["bloch", "--T", "-1"], "--T", 0, -1),
+    "ensemble": (["bloch", "--T", "2", "--ensemble", "0"], "--ensemble", 1, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDERSIZED))
+def test_sized_option_refuses_a_value_below_its_minimum(name, capsys):
+    argv, flag, minimum, value = UNDERSIZED[name]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be >= {minimum}, got {value}\n"
+
+
 def test_resource_limits_admit_documented_runs():
     assert cli.SIMULATE_MAX_T >= 200
     assert cli.ANNEAL_MAX_T >= 12

@@ -19,7 +19,6 @@ from walkmeg import (
     ensemble_entropies,
     entanglement_entropy,
     evolve,
-    fit_diffusion_exponent,
     generate_table_sequence,
     position_distribution,
     reduced_coin_state,
@@ -133,15 +132,15 @@ def test_fit_recovers_exact_power_laws():
     t = np.arange(1, 11, dtype=float)
     for alpha in (1.0, 1.5, 2.0):
         series = MomentSeries(values=0.5 * t**alpha)
-        assert fit_diffusion_exponent(series) == pytest.approx(alpha, abs=1e-9)
+        assert series.alpha == pytest.approx(alpha, abs=1e-9)
 
 
 def test_moment_series_fit_is_derived_from_its_values():
     series = MomentSeries(np.array([1.0, 4.0, 9.0]))
-    assert series.alpha == fit_diffusion_exponent(series) == pytest.approx(2.0, abs=1e-12)
+    assert series.alpha == pytest.approx(2.0, abs=1e-12)
     assert series.prefactor == pytest.approx(1.0, abs=1e-12)
     for values in ([1.0, 4.0], [0.0, 1.0, 4.0]):  # too short; not positive
-        for read in (lambda s: s.alpha, lambda s: s.prefactor, fit_diffusion_exponent):
+        for read in (lambda s: s.alpha, lambda s: s.prefactor):
             with pytest.raises(ValueError):
                 read(MomentSeries(np.array(values)))
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from walkmeg import (
+    FOURIER,
     FOURIER_TABLE_RANGE,
     HADAMARD,
     IDENTITY,
@@ -14,6 +15,7 @@ from walkmeg import (
     InitialCoinState,
     NoOptimalSequenceError,
     SequencePattern,
+    brute_force,
     evolve,
     fourier_table_sequence,
     generate_table_sequence,
@@ -110,6 +112,18 @@ def test_predicate_reference_cases():
     assert not theorem_predicate(SequencePattern((4, 1, 1)))  # l1 == l2 + l3 + 2
 
 
+def test_predicate_is_invariant_under_tail_reversal():
+    # F(b1 b2..bT) = F(b1 bT..b2) for the {H, 1} set, whose coins are
+    # symmetric, so the closed-form conditions must agree on both strings
+    strings = list(iter_family_bits(40))
+    assert len(strings) == 11480
+    for bits in strings:
+        mirrored = bits[0] + bits[:0:-1]
+        assert theorem_predicate(pattern_from_bits(bits)) == theorem_predicate(
+            pattern_from_bits(mirrored)
+        ), bits
+
+
 def test_family_bits_equal_the_filter_over_all_strings():
     every = [
         format(value, f"0{t}b") for t in range(1, 15) for value in range(1 << t)
@@ -202,6 +216,19 @@ def test_fourier_reference_sequences():
         assert sequence_fidelity(fourier_table_sequence(T)) == pytest.approx(
             value, abs=1e-12
         )
+
+
+def test_fourier_table_against_the_exhaustive_best():
+    # every {H, F} table entry ties the exhaustive best but T=8's, which
+    # scores 7.44e-3 below the best string 00001101
+    for T in range(FOURIER_TABLE_RANGE[0], FOURIER_TABLE_RANGE[1] + 1):
+        best = brute_force(T, HADAMARD, FOURIER)
+        gap = best.best_fidelity - sequence_fidelity(fourier_table_sequence(T))
+        if T == 8:
+            assert best.best_bits == "00001101"
+            assert gap == pytest.approx(7.4398e-3, abs=1e-7)
+        else:
+            assert abs(gap) <= 1e-13, (T, gap)
 
 
 def test_affine_bloch_vector():

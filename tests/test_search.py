@@ -401,6 +401,57 @@ def test_first_coin_symmetry_to_round_off(label):
     assert np.max(np.abs(fid0 - fid1)) <= 1e-13
 
 
+def _random_coin_pair(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return tuple(build_coin(CoinParameters(*rng.uniform(0.0, 2.0 * math.pi, 3))) for _ in range(2))
+
+
+EXACT_SYMMETRY_SETS = {
+    **SYMMETRY_SETS,
+    "H,Z": (HADAMARD, PAULI_Z),
+    **{f"random {seed}": _random_coin_pair(seed) for seed in (1, 2, 3)},
+}
+
+
+def _all_rows(T: int) -> np.ndarray:
+    return _bits_matrix(np.arange(1 << T, dtype=np.uint32), T)
+
+
+@pytest.mark.parametrize("label", list(EXACT_SYMMETRY_SETS))
+def test_exact_symmetries_to_round_off(label):
+    # reversing the tail b2..bT while transposing both coins, and conjugating
+    # both coins by diag(1, e^{i phi}), by sigma_x or complex-conjugating them,
+    # leave every string's fidelity unchanged
+    coin0, coin1 = EXACT_SYMMETRY_SETS[label]
+    T = 10
+    rows = _all_rows(T)
+    base = batch_fidelities(coin0, coin1, rows)
+    phase = np.diag([1.0, np.exp(0.7j)])
+    images = {
+        "tail reversal, transposed": (coin0.T, coin1.T, rows[:, [0, *range(T - 1, 0, -1)]]),
+        "diag phase": (phase @ coin0 @ phase.conj().T, phase @ coin1 @ phase.conj().T, rows),
+        "sigma_x": (PAULI_X @ coin0 @ PAULI_X, PAULI_X @ coin1 @ PAULI_X, rows),
+        "complex conjugate": (coin0.conj(), coin1.conj(), rows),
+    }
+    for name, (c0, c1, r) in images.items():
+        deviation = np.max(np.abs(batch_fidelities(c0, c1, r) - base))
+        assert deviation <= 1e-13, f"{name}: {deviation:.3e}"
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_near_symmetries_break_on_random_coins(seed):
+    # negative controls: dropping the transpose, or reversing the first bit
+    # too, is not a symmetry, so the check above can fail
+    coin0, coin1 = _random_coin_pair(seed)
+    T = 9
+    rows = _all_rows(T)
+    base = batch_fidelities(coin0, coin1, rows)
+    tail_only = batch_fidelities(coin0, coin1, rows[:, [0, *range(T - 1, 0, -1)]])
+    full = batch_fidelities(coin0.T, coin1.T, rows[:, ::-1])
+    assert np.max(np.abs(tail_only - base)) > 1e-3
+    assert np.max(np.abs(full - base)) > 1e-3
+
+
 def test_sweep_composition_matches_rows_at_eighteen(sweep18):
     rng = np.random.default_rng(18)
     picks = rng.integers(0, 1 << 18, 64)
