@@ -28,6 +28,7 @@ its first option string and its value as given. Defaults are included;
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import shlex
 import sys
@@ -95,7 +96,9 @@ BLOCH_MAX_SAMPLES = 1 << 16
 # argument handling
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="walkmeg",
         description="Quantum-walk coin sequences for maximal entanglement: "

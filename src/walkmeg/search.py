@@ -22,20 +22,24 @@ diag(1, i, i, i) times the real 4 x n quaternion matrix A (rows permuted).
 
 Nuclear norm. The channel's chi matrix is unitarily similar to A A^T / n
 and the target's is 1/4, so F = (tr sqrt(chi))^2 / 4 = ||A||_*^2 / (4n),
-clamped to 1. A stack of strings is scored from the eigenvectors V of
-each 4x4 Gram matrix A^T A, one batched eigh call, and sigma_j = ||A v_j||;
-a single string or a small stack takes its singular values from the SVD,
-which the tests keep as the reference. The Gram eigenvalues are thrown
-away: the square root of a near-zero one turns its ~1e-16 round-off into
-a ~1e-8 floor. ||A v_j|| errs only by the eigenvector error times ||A||,
-and sum_j ||A v_j|| >= ||A||_* for every orthonormal V, with equality at
-exact eigenvectors, so round-off stays near 1e-15 on both routes.
+clamped to 1. The caller picks one of two routes; the stack size never
+does. A sweep (_stack_fidelities) scores its strings from the
+eigenvectors V of each 4x4 Gram matrix A^T A, one batched eigh call per
+chunk, and sigma_j = ||A v_j||. Row scoring (_row_fidelities, behind
+batch_fidelities, sequence_fidelity and the anneal cost) takes one SVD
+per string, so a row's value depends on its string alone. The Gram
+eigenvalues are thrown away: the square root of a near-zero one turns its
+~1e-16 round-off into a ~1e-8 floor. ||A v_j|| errs only by the
+eigenvector error times ||A||, and sum_j ||A v_j|| >= ||A||_* for every
+orthonormal V, with equality at exact eigenvectors, so round-off stays
+near 1e-15 on both routes.
 
 Best string. Strings that tie to round-off trade places with the
-arithmetic (the stage-4 route, the stack size), so the best string is the
-lowest-valued one within BEST_TIE = 1e-12 of the maximum. Over every string
-of T <= 18 for {H,I}, {H,X}, {H,F}, {H,Z} and g:0.4,1.1, ties lie within
-1.3e-15 of the maximum and every other fidelity at least 5.8e-6 below it.
+arithmetic (the sweep's tiling, the row route against the sweep's), so
+the best string is the lowest-valued one within BEST_TIE = 1e-12 of the
+maximum. Over every string of T <= 18 for {H,I}, {H,X}, {H,F}, {H,Z} and
+g:0.4,1.1, ties lie within 1.3e-15 of the maximum and every other
+fidelity at least 5.8e-6 below it.
 
 Screen. A top-set query needs exact fidelities only near its answer.
 The chi purity P = sum_i p_i^2 = ||A^T A||_F^2 / n^2 comes from the Gram
@@ -50,7 +54,7 @@ bound's own round-off, which reached 9.3e-9 near pure spectra. There is
 one Gram form (_gram): the bound, the seed row and the scored rows all
 read the Gram matrices of the stack, which the unscreened sweep hands to
 the eigensolver too, so a scored row equals the unscreened sweep bit for
-bit; sweeps of fewer than _GRAM_MIN_STACK strings are not screened.
+bit, at every T.
 brute_force passes x = 1 - max(tolerance, COUNT_TOLERANCES): at T=18 on
 one worker the eigensolver then sees 316 of the 2^17 strings of {H,I},
 17 of {H,F} and 6 of g:0.4,1.1. When no bound falls that low, as for
@@ -112,11 +116,6 @@ BRUTE_LIST_MAX_ROWS = 1 << 20
 # T=18, 1 << 13 took 0.46 s of CPU instead of 0.37 s and raised the peak
 # RSS from ~40 to ~75 MiB.
 _CHUNK = 1 << 10
-# Stacks of at least this many matrices take the Gram route. One eigh
-# call costs more to start than one SVD call but less per matrix: with
-# n = 9..37 momenta one matrix costs ~8 us by SVD and ~13 us by Gram, the
-# two tie at 8..12 matrices, and 16 cost 50..59 us against 47..53 us.
-_GRAM_MIN_STACK = 16
 # A screened row is scored exactly unless its purity bound lies this far
 # below the threshold. The bound's own round-off, largest near pure
 # spectra, reached 9.3e-9 over 10^6 random spectra crowded there.
@@ -228,22 +227,18 @@ def _stack_fidelities(
 ) -> tuple[np.ndarray, float]:
     """(F of each quaternion matrix of the stack q (rows, n, 4), running best).
 
-    Stacks of fewer than _GRAM_MIN_STACK rows take one SVD per row, larger
-    ones the eigenvectors of one Gram matrix per row. With exact_above set,
-    a Gram stack is screened: rows whose purity bound stays below
-    min(exact_above, best - BEST_TIE) - _SCREEN_SLACK keep their bound, a
-    best of -inf is first seeded by the row of the largest bound (see
-    "Screen" in the module docstring), and the running best returned is
-    the largest of best and the exact scores. Other stacks return best
-    as given.
+    Stage 4 of every sweep, at any stack size: the eigenvectors of one Gram
+    matrix per row. With exact_above set, the stack is screened: rows whose
+    purity bound stays below min(exact_above, best - BEST_TIE) -
+    _SCREEN_SLACK keep their bound, a best of -inf is first seeded by the
+    row of the largest bound (see "Screen" in the module docstring), and
+    the running best returned is the largest of best and the exact scores.
+    Unscreened, best is returned as given.
     """
-    n = q.shape[-2]
-    if q.shape[0] < _GRAM_MIN_STACK:
-        return _nuclear_fidelity(np.linalg.svd(q, compute_uv=False), n), best
     gram = _gram(q)
     if exact_above is None:
         return _eigen_fidelity(q, gram), best
-    fid = _purity_bound(gram, n)
+    fid = _purity_bound(gram, q.shape[-2])
     if best == -math.inf:
         seed = [int(np.argmax(fid))]
         best = float(_eigen_fidelity(q[seed], gram[seed])[0])
@@ -257,10 +252,12 @@ def _stack_fidelities(
 
 
 def _row_fidelities(steps: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """F of each bit row from one SVD per row, so a row's value depends on its string alone."""
     out = np.empty(bits.shape[0])
     for lo in range(0, bits.shape[0], _CHUNK):
         part = bits[lo : lo + _CHUNK]
-        out[lo : lo + part.shape[0]] = _stack_fidelities(_string_quaternions(steps, part))[0]
+        sv = np.linalg.svd(_string_quaternions(steps, part), compute_uv=False)
+        out[lo : lo + part.shape[0]] = _nuclear_fidelity(sv, steps.shape[1])
     return out
 
 
@@ -458,7 +455,7 @@ def brute_force(
     best string are scored exactly; the result is the one the unscreened
     array gives. Raises ResourceLimitError when more than
     BRUTE_LIST_MAX_ROWS strings are optimal. Deterministic for any worker
-    split; best_bits also for either stage-4 route.
+    split; best_bits is also the one the row route's values pick.
     """
     T = operator.index(T)
     if not tolerance > 0.0:

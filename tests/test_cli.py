@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, determinism, replay."""
 
+import csv
 import math
 import os
 import shlex
@@ -138,6 +139,25 @@ def test_verify_single_patterns(capsys):
     table = parse_table(out)
     assert table.rows[0][:2] == ("0,0,1", "true")
     assert table.rows[0][2] == pytest.approx(1.0, abs=1e-9)
+
+
+def _data_rows(out: str) -> list[list[str]]:
+    """The CSV cells of a table's rows, as printed."""
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    return list(csv.reader(lines[1:]))
+
+
+def test_verify_pattern_prints_the_sweep_row(capsys):
+    # a fidelity depends on its string alone, not on the strings scored with it
+    code, out = run_cli(capsys, "verify", "--max-T", "12")
+    assert code == 0
+    sweep = {row[0]: row for row in _data_rows(out)}
+    patterns = [p for p in sweep if sum(map(int, p.split(","))) + p.count(",") in (6, 12)]
+    assert len(patterns) == 21 + 78
+    for pattern in patterns:
+        code, out = run_cli(capsys, "verify", "--pattern", pattern)
+        assert code == 0
+        assert _data_rows(out) == [sweep[pattern]], pattern
 
 
 def test_verify_disagreement_exits_four(capsys):

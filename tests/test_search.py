@@ -31,11 +31,11 @@ from walkmeg import (
 from walkmeg.search import (
     BEST_TIE,
     COUNT_TOLERANCES,
-    _GRAM_MIN_STACK,
     _SCREEN_SLACK,
     _bits_matrix,
     _gram,
     _purity_bound,
+    _row_fidelities,
     _stack_fidelities,
     _string_quaternions,
     _su2_steps,
@@ -305,8 +305,8 @@ def test_batch_fidelities_refuses_entries_other_than_0_and_1(entry):
 
 @pytest.mark.parametrize("T", [4, 5, 8, 12])
 def test_screened_landscape_maxima_equal_the_full_sweep(T):
-    # T = 4 sweeps stacks below _GRAM_MIN_STACK, T = 5 is the first screened
-    # size; the grid's diagonal has equal coins, where every string ties
+    # every T is screened: T = 4 sweeps one stack of 8 strings, T = 5 one of
+    # 16; the grid's diagonal has equal coins, where every string ties
     grid = np.linspace(0.0, math.pi / 2.0, 5)
     points = landscape_scan(T, grid)
     assert [(p.gamma0, p.gamma1) for p in points] == [(g0, g1) for g0 in grid for g1 in grid]
@@ -488,16 +488,17 @@ def test_small_sweeps_start_no_pool(monkeypatch):
 def test_kernel_does_not_depend_on_the_grid_size():
     # U(k) has trigonometric-polynomial entries of degree <= T, so every grid
     # of n >= 2T+1 momenta gives the same fidelities and the same mean Gram
-    # matrix: a stack of 17 strings takes the Gram route, one string the SVD.
+    # matrix, on the sweep's Gram route and on the row route's SVD alike.
     rng = np.random.default_rng(1931)
     for _ in range(12):
         coins = [build_coin(CoinParameters(*rng.uniform(0.0, 2.0 * math.pi, 3))) for _ in range(2)]
         T = int(rng.integers(1, 20))
-        bits = rng.integers(0, 2, (_GRAM_MIN_STACK + 1, T))
+        bits = rng.integers(0, 2, (17, T))
         scores = []
         for n in (2 * T + 1, 2 * T + 2, 4 * T + 3, 6 * T + 5):
-            q = _string_quaternions(_su2_steps(coins, n), bits)
-            scores.append((_stack_fidelities(q)[0], _stack_fidelities(q[:1])[0], _gram(q) / n))
+            steps = _su2_steps(coins, n)
+            q = _string_quaternions(steps, bits)
+            scores.append((_stack_fidelities(q)[0], _row_fidelities(steps, bits), _gram(q) / n))
         for got in scores[1:]:
             for value, reference in zip(got, scores[0]):
                 np.testing.assert_allclose(value, reference, rtol=0.0, atol=1e-14)
@@ -532,8 +533,8 @@ GRAM_SETS = {
 
 @pytest.mark.parametrize("label", sorted(GRAM_SETS))
 def test_gram_route_matches_svd_reference(label):
-    # every string at T=12, scored by the Gram route (stacks of 1024 rows
-    # and the sweep) against one SVD per string of the same quaternions
+    # every string at T=12, scored by the sweep's Gram route and by the row
+    # route, against one SVD per string of the same quaternions
     coin0, coin1 = GRAM_SETS[label]
     T = 12
     rows = _bits_matrix(np.arange(1 << T, dtype=np.uint32), T).astype(np.intp)
@@ -549,26 +550,29 @@ def test_gram_route_matches_svd_reference(label):
 
 @pytest.mark.parametrize("label", sorted(GRAM_SETS))
 def test_stack_size_does_not_show_in_a_result(label):
-    # a string scored on its own takes the SVD, inside a stack the Gram route
+    # a row's value depends on its string alone, bit for bit, in small
+    # batches and past the 1024-row chunk: the batches draw from 64
+    # strings, each also scored on its own
     coin0, coin1 = GRAM_SETS[label]
-    rows = np.random.default_rng(5).integers(0, 2, (_GRAM_MIN_STACK, 12))
-    stacked = batch_fidelities(coin0, coin1, rows)
-    alone = [batch_fidelities(coin0, coin1, row[None])[0] for row in rows]
-    np.testing.assert_allclose(stacked, alone, rtol=0.0, atol=1e-14)
+    rng = np.random.default_rng(5)
+    strings = rng.integers(0, 2, (64, 12))
+    alone = np.array([batch_fidelities(coin0, coin1, row[None])[0] for row in strings])
+    picks = np.concatenate([np.arange(64), rng.integers(0, 64, 1025 - 64)])
+    for size in (1, 15, 16, 17, 1025):
+        got = batch_fidelities(coin0, coin1, strings[picks[:size]])
+        assert np.array_equal(got, alone[picks[:size]]), size
 
 
 @pytest.mark.parametrize("label", sorted(GRAM_SETS))
-def test_best_bits_do_not_depend_on_the_stage_four_route(label, monkeypatch):
-    # strings that tie to round-off swap order between the Gram route and
-    # the SVD; the best string is decided within BEST_TIE, so it stays put
-    import walkmeg.search as search
-
+def test_best_bits_do_not_depend_on_the_stage_four_route(label):
+    # strings that tie to round-off swap order between the sweep's Gram route
+    # and the row route's SVD; the best string is decided within BEST_TIE, so
+    # the screened sweep and every string scored as a row pick the same one
     coin0, coin1 = GRAM_SETS[label]
-    picks = {}
-    for min_stack in (1, 10**9):
-        monkeypatch.setattr(search, "_GRAM_MIN_STACK", min_stack)
-        picks[min_stack] = [brute_force(T, coin0, coin1).best_bits for T in range(1, 15)]
-    assert picks[1] == picks[10**9]
+    for T in range(1, 12):
+        rows = batch_fidelities(coin0, coin1, _all_rows(T))
+        picked = format(int(np.argmax(rows >= rows.max() - BEST_TIE)), f"0{T}b")
+        assert brute_force(T, coin0, coin1).best_bits == picked, T
 
 
 @pytest.mark.parametrize("label", ["H,I", "H,X", "H,F", "H,Z", "g:0.4,1.1"])
