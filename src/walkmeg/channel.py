@@ -66,9 +66,9 @@ class BlochImage:
         out = np.array(self.outputs, dtype=np.float64)
         if inp.shape != out.shape or inp.ndim != 2 or inp.shape[1] != 3:
             raise ValueError("inputs and outputs must both have shape (n, 3)")
-        if np.max(np.abs(np.linalg.norm(inp, axis=1) - 1.0)) > 1e-12:
+        if not np.max(np.abs(np.linalg.norm(inp, axis=1) - 1.0)) <= 1e-12:
             raise ValueError("every input must lie on the unit sphere")
-        if float(np.linalg.norm(out, axis=1).max()) > 1.0 + 1e-9:
+        if not float(np.linalg.norm(out, axis=1).max()) <= 1.0 + 1e-9:
             raise ValueError("channel outputs must stay inside the Bloch ball")
         for arr in (inp, out):
             arr.flags.writeable = False

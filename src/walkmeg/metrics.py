@@ -47,12 +47,12 @@ def entanglement_entropy(rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
+    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-8:
         raise ValueError("density matrix is not Hermitian within 1e-8")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
+    if not abs(np.trace(rho).real - 1.0) <= 1e-8:
         raise ValueError("density matrix trace differs from 1")
     lam = np.linalg.eigvalsh(rho)
-    if float(lam.min()) < -1e-8:
+    if not float(lam.min()) >= -1e-8:
         raise ValueError(f"density matrix eigenvalue {lam.min():.3e} is negative")
     lam = np.clip(lam, 0.0, 1.0)
     nz = lam[lam > 0.0]
@@ -71,7 +71,7 @@ class EnsembleStatistics:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("ensemble size must be >= 1")
-        if self.std_dev < 0.0:
+        if not self.std_dev >= 0.0:
             raise ValueError("standard deviation cannot be negative")
 
 
@@ -135,7 +135,7 @@ class MomentSeries:
         if values.ndim != 1 or values.size < 1:
             raise ValueError("moment series must be a nonempty 1d array")
         t = np.arange(1, values.size + 1, dtype=float)
-        if np.any(values > t * t + 1e-9):
+        if not np.all(values <= t * t + 1e-9):
             raise ValueError("second moment exceeds the light-cone bound t^2")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)

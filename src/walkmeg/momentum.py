@@ -64,7 +64,7 @@ class AffineBlochVector:
     a3: float
 
     def __post_init__(self):
-        if self.a1**2 + self.a2**2 + self.a3**2 > 0.25 + 1e-9:
+        if not self.a1**2 + self.a2**2 + self.a3**2 <= 0.25 + 1e-9:
             raise ValueError("Bloch part exceeds the unit ball")
 
     @property
@@ -100,26 +100,33 @@ def superoperator_at(kind: str, k: float) -> np.ndarray:
     return _grid_superoperators(np.array([float(k)]))[which][0]
 
 
+# L^H(0): the Hadamard coin's map of (1/2, a1, a2, a3), since the shift at k = 0 is 1
+_HADAMARD_MAP = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, -1.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+    ]
+)
+
+
 def _grid_superoperators(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked L^H(k) and L^1(k) for an array of momenta, shape (n, 4, 4)."""
-    n = ks.shape[0]
+    """Stacked L^H(k) and L^1(k) for an array of momenta, shape (n, 4, 4).
+
+    L^1(k) is the shift alone, a rotation by 2k about z; a Hadamard step
+    is the same shift after the fixed coin map L^H(0).
+    """
     c = np.cos(2.0 * ks)
     s = np.sin(2.0 * ks)
-    lh = np.zeros((n, 4, 4))
-    lh[:, 0, 0] = 1.0
-    lh[:, 1, 2] = s
-    lh[:, 1, 3] = c
-    lh[:, 2, 2] = -c
-    lh[:, 2, 3] = s
-    lh[:, 3, 1] = 1.0
-    li = np.zeros((n, 4, 4))
+    li = np.zeros((ks.shape[0], 4, 4))
     li[:, 0, 0] = 1.0
     li[:, 1, 1] = c
     li[:, 1, 2] = -s
     li[:, 2, 1] = s
     li[:, 2, 2] = c
     li[:, 3, 3] = 1.0
-    return lh, li
+    return li @ _HADAMARD_MAP, li
 
 
 def _averaged_product(bits: str, n_points: int) -> np.ndarray:
@@ -152,12 +159,10 @@ class SequencePattern:
     """Run-length form of a one- or two-Hadamard sequence.
 
     ls = (l1, l2) encodes b = 1^l1 0 1^l2; ls = (l1, l2, l3) encodes
-    b = 1^l1 0 1^l2 0 1^l3. With prefixed=True the leading 1-run starts
-    with a 0 instead: b = 0 1^(l1-1) 0 1^l2 (...), which requires l1 >= 1.
+    b = 1^l1 0 1^l2 0 1^l3.
     """
 
     ls: tuple[int, ...]
-    prefixed: bool = False
 
     def __post_init__(self):
         ls = tuple(map(operator.index, self.ls))
@@ -165,8 +170,6 @@ class SequencePattern:
             raise ValueError("pattern needs two or three run lengths")
         if any(v < 0 for v in ls):
             raise ValueError("run lengths must be nonnegative")
-        if self.prefixed and ls[0] < 1:
-            raise ValueError("prefixed form needs l1 >= 1")
         object.__setattr__(self, "ls", ls)
 
     @property
@@ -176,28 +179,25 @@ class SequencePattern:
 
 def pattern_bits(p: SequencePattern) -> str:
     """Render a pattern back into its bit string."""
-    runs = ["1" * v for v in p.ls]
-    body = "0".join(runs)
-    if p.prefixed:
-        # replace the first 1 of the leading run with a 0
-        body = "0" + body[1:]
-    return body
+    return "0".join("1" * v for v in p.ls)
 
 
 def pattern_from_bits(bits: str) -> SequencePattern:
     """Parse a bit string into its pattern form.
 
-    Strings with one or two 0s parse directly; strings with three 0s are
-    accepted when they start with 0 (leading-coin variant). Anything else
-    is outside the covered families and raises ValueError.
+    Strings with one or two 0s parse directly. A string that starts with 0
+    and has three 0s is read as the same string with a leading 1: the first
+    coin acts before any shift, so flipping the first bit never changes
+    whether a string is optimal (first-coin symmetry). "010110" thus reads
+    as the pattern (2, 2, 0) of "110110". Anything else is outside the
+    covered families and raises ValueError.
     """
     bits = require_bits(bits)
     runs = tuple(len(r) for r in bits.split("0"))
     if len(runs) in _FAMILIES:
         return SequencePattern(runs)
     if bits[0] == "0" and len(runs) - 1 in _FAMILIES:
-        # 0 1^a 0 1^b ... stands in for 1^(a+1) 0 1^b ...
-        return SequencePattern((runs[1] + 1, *runs[2:]), prefixed=True)
+        return SequencePattern((runs[1] + 1, *runs[2:]))
     raise ValueError(
         f"bit string {bits!r} is not in the one- or two-Hadamard families"
     )
@@ -233,8 +233,10 @@ def theorem_predicate(p: SequencePattern) -> bool:
     T <= 40, the limit cli.VERIFY_MAX_T: tests/test_cli.py's
     test_verify_agrees_up_to_its_limit runs verify --max-T 40, and the
     acceptance test of criterion 4 checks T <= 12.
-    Leading-0 variants reuse the conditions of their tail form. Each
-    condition a . l != c is one hyperplane of the family's _FAMILIES entry.
+    A string with a leading 0 is optimal exactly when the same string
+    with a leading 1 is (first-coin symmetry), so pattern_from_bits reads
+    it as that string. Each condition a . l != c is one hyperplane of the
+    family's _FAMILIES entry.
     """
     return all(sum(map(operator.mul, a, p.ls)) != c for a, c in _FAMILIES[len(p.ls)])
 
@@ -264,8 +266,8 @@ def generate_table_sequence(T: int) -> CoinSequence:
     so at most three Hadamard operations appear regardless of T. Both are
     optimal wherever they are used: 0 0 1^(T-2) is the pattern (0, 0, T-2),
     whose conditions fail only at T in {1, 2}, and 0 0 1 0 1^(T-4) is the
-    prefixed pattern (1, 1, T-4), whose conditions fail only at
-    T in {2, 4, 5, 6}.
+    pattern (1, 1, T-4) of 1 0 1 0 1^(T-4) with its first bit flipped, whose
+    conditions fail only at T in {2, 4, 5, 6}.
     """
     T = operator.index(T)
     if T < _TABLE_MIN_STEPS:

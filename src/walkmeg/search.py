@@ -397,18 +397,16 @@ def enumerate_fidelities(
         for i, q in enumerate(_sweep_stacks(*tables, T, chunk_lo, chunk_hi), start=chunk_lo):
             half[i], best = _stack_fidelities(q, exact_above, best)
 
-    if n_jobs <= 1:
-        sweep(0, n_chunks)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        bounds = np.linspace(0, n_chunks, n_jobs + 1).astype(int).tolist()
-        # the calling thread takes the first run: one thread fewer to start,
-        # and its memory is reused
-        with ThreadPoolExecutor(n_jobs - 1) as pool:
-            rest = pool.map(sweep, bounds[1:], bounds[2:])  # submitted at once
-            sweep(bounds[0], bounds[1])
-            list(rest)
+    bounds = np.linspace(0, n_chunks, n_jobs + 1).astype(int).tolist()
+    # the calling thread takes the first run: one thread fewer to start, and
+    # its memory is reused; with one worker nothing is submitted, so no
+    # thread starts
+    with ThreadPoolExecutor(n_jobs) as pool:
+        rest = pool.map(sweep, bounds[1:-1], bounds[2:])  # submitted at once
+        sweep(bounds[0], bounds[1])
+        list(rest)
     fid[half.size :] = fid[: half.size]
     return fid
 
@@ -496,8 +494,10 @@ class AnnealConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps_per_temperature < 1 or self.restarts < 1:
+        if min(map(operator.index, (self.steps_per_temperature, self.restarts))) < 1:
             raise ValueError("steps_per_temperature and restarts must be >= 1")
+        if operator.index(self.seed) < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class AnnealResult(NamedTuple):

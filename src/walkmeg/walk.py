@@ -146,7 +146,7 @@ class WalkerState:
         if amp.ndim != 2 or amp.shape[0] != 2 or amp.shape[1] % 2 != 1:
             raise ValueError(f"amplitude table must have shape (2, 2t+1), got {amp.shape}")
         norm = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
         amp = amp.copy()
         amp.flags.writeable = False
@@ -167,9 +167,9 @@ class ProbabilityDistribution:
         p = np.asarray(self.probabilities, dtype=np.float64)
         if p.ndim != 1 or p.size % 2 != 1:
             raise ValueError(f"distribution must have 2t+1 entries, got shape {p.shape}")
-        if float(p.min()) < -1e-12:
+        if not float(p.min()) >= -1e-12:
             raise ValueError("probabilities must be nonnegative")
-        if abs(float(p.sum()) - 1.0) > 1e-10:
+        if not abs(float(p.sum()) - 1.0) <= 1e-10:
             raise ValueError("probabilities must sum to 1")
         p = np.clip(p, 0.0, None)
         p.flags.writeable = False

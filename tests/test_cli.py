@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, determinism, replay."""
 
 import csv
+import functools
 import math
 import os
 import shlex
@@ -459,7 +460,10 @@ SAME_TABLE_IN_BOTH_FORMATS = [
 
 
 @pytest.mark.parametrize("args", SAME_TABLE_IN_BOTH_FORMATS, ids=" ".join)
-def test_csv_and_json_carry_the_same_table(args, capsys):
+def test_csv_and_json_carry_the_same_table(args, capsys, monkeypatch):
+    # main runs in both formats; an anneal's result is computed once
+    # (test_anneal_deterministic checks that a rerun gives the same result)
+    monkeypatch.setattr(cli, "anneal", functools.cache(cli.anneal))
     code, csv_text = run_cli(capsys, *args)
     code_json, json_text = run_cli(capsys, *args, "--format", "json")
     assert code == code_json == 0

@@ -1,5 +1,6 @@
 """Momentum-space channel route and the closed-form optimality conditions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -59,6 +60,16 @@ def test_superoperator_matrices_at_reference_momenta():
         np.testing.assert_allclose(block @ block.T, np.eye(3), atol=1e-12)
     with pytest.raises(ValueError):
         superoperator_at("Q", 0.0)
+
+
+def test_hadamard_step_is_the_shift_after_one_fixed_map():
+    # L^H(k) = L^1(k) @ L^H(0): the coin acts first, then the shift rotates
+    # the Bloch part about z by 2k; each entry is one signed product, so
+    # the factorization holds bit for bit
+    hadamard_map = superoperator_at("H", 0.0)
+    for k in np.random.default_rng(41).uniform(-2.0 * math.pi, 2.0 * math.pi, 64):
+        expected = superoperator_at("I", k) @ hadamard_map
+        assert superoperator_at("H", k).tobytes() == expected.tobytes(), k
 
 
 def test_quadrature_grid_is_exact():
@@ -138,10 +149,20 @@ def test_pattern_round_trip():
         assert pattern_bits(pattern_from_bits(bits)) == bits
 
 
-def test_prefixed_pattern_parse():
+def test_leading_zero_strings_read_through_first_coin_symmetry():
+    # a leading-0 string with three 0s reads as the same string with a
+    # leading 1, and the predicate of that pattern is the string's own
     p = pattern_from_bits("010110")
-    assert p.prefixed and p.ls == (2, 2, 0)
-    assert pattern_bits(p) == "010110"
+    assert p.ls == (2, 2, 0) and pattern_bits(p) == "110110"
+    strings = [
+        "0" + "".join("0" if i in zeros else "1" for i in range(t - 1))
+        for t in range(3, 13)
+        for zeros in itertools.combinations(range(t - 1), 2)
+    ]
+    assert len(strings) == 220
+    for bits in strings:
+        fidelity = sequence_fidelity(CoinSequence(HADAMARD, IDENTITY, bits))
+        assert theorem_predicate(pattern_from_bits(bits)) == (fidelity > 1.0 - 1e-9), bits
     with pytest.raises(ValueError):
         pattern_from_bits("10010010")  # three 0s but no leading 0
     with pytest.raises(ValueError):
@@ -153,8 +174,6 @@ def test_pattern_validation():
         SequencePattern((1,))
     with pytest.raises(ValueError):
         SequencePattern((1, -1))
-    with pytest.raises(ValueError):
-        SequencePattern((0, 1), prefixed=True)
     assert SequencePattern((2, 0, 1)).T == 5
 
 

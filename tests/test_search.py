@@ -235,6 +235,22 @@ def test_anneal_config_validation():
         AnnealConfig(restarts=0)
 
 
+# a config that anneal cannot run must fail where it is built, not inside anneal
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("restarts", 2.0, TypeError),
+        ("steps_per_temperature", 1.5, TypeError),
+        ("seed", 0.5, TypeError),
+        ("seed", -1, ValueError),
+    ],
+)
+def test_anneal_config_refuses_what_anneal_cannot_run(field, value, error):
+    AnnealConfig(**{field: np.int64(2)})  # numpy integers are integers
+    with pytest.raises(error):
+        AnnealConfig(**{field: value})
+
+
 # (T, coin set, seed, steps_per_temperature) -> (gamma0, gamma1, bits, fidelity),
 # recorded before the anneal modes were folded into the coins argument; the
 # results depend on the exact order of every random draw
@@ -279,12 +295,12 @@ def test_anneal_equal_coins_stops_after_the_start_string(monkeypatch):
 
 
 def test_coins_are_validated_at_the_search_boundary(monkeypatch):
-    import concurrent.futures
+    import threading
 
     def refuse(*args, **kwargs):
         raise AssertionError("a bad coin must be rejected before any worker starts")
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     with pytest.raises(AssertionError, match="before any worker starts"):
         enumerate_fidelities(HADAMARD, IDENTITY, 15, workers=2)
     bad = 2 * IDENTITY
@@ -466,7 +482,7 @@ def test_sweep_worker_independent_at_eighteen(sweep18):
 
 
 def test_small_sweeps_start_no_pool(monkeypatch):
-    import concurrent.futures
+    import threading
 
     # sweeps of T <= 11 are one chunk, so they run on the calling thread alone
     expected = enumerate_fidelities(HADAMARD, IDENTITY, 12, workers=1)
@@ -475,7 +491,7 @@ def test_small_sweeps_start_no_pool(monkeypatch):
         raise AssertionError("a one-chunk sweep must not start a pool")
 
     with monkeypatch.context() as patch:
-        patch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        patch.setattr(threading.Thread, "start", refuse)
         for T in range(1, 12):
             got = enumerate_fidelities(HADAMARD, IDENTITY, T, workers=2)
             assert got.tobytes() == enumerate_fidelities(HADAMARD, IDENTITY, T, workers=1).tobytes()

@@ -11,8 +11,11 @@ from walkmeg import (
     IDENTITY,
     PAULI_Z,
     AffineBlochVector,
+    BlochImage,
     CoinSequence,
+    EnsembleStatistics,
     InitialCoinState,
+    MomentSeries,
     WalkerState,
     ProbabilityDistribution,
     build_coin,
@@ -182,3 +185,25 @@ def test_state_and_distribution_validation():
         ProbabilityDistribution(np.array([1.1, 0.0, -0.1]))
     dist = ProbabilityDistribution(np.array([0.5, 0.0, 0.5]))
     np.testing.assert_array_equal(dist.positions, [-1, 0, 1])
+
+
+NAN = float("nan")
+
+# Each value check, fed a NaN: it must refuse it, not let it through because
+# every comparison with NaN is False.
+NAN_CHECKS = {
+    "WalkerState norm": lambda: WalkerState(np.array([[NAN], [0.0]])),
+    "ProbabilityDistribution": lambda: ProbabilityDistribution(np.array([NAN, 0.0, 1.0])),
+    "BlochImage inputs": lambda: BlochImage([[NAN, 0.0, 0.0]], [[0.0, 0.0, 0.0]]),
+    "BlochImage outputs": lambda: BlochImage([[1.0, 0.0, 0.0]], [[NAN, 0.0, 0.0]]),
+    "MomentSeries light cone": lambda: MomentSeries([1.0, 4.0, NAN]),
+    "AffineBlochVector ball": lambda: AffineBlochVector(NAN, 0.0, 0.0),
+    "EnsembleStatistics std_dev": lambda: EnsembleStatistics(0.5, NAN, 3),
+    "entanglement_entropy": lambda: entanglement_entropy(np.full((2, 2), NAN)),
+}
+
+
+@pytest.mark.parametrize("name", NAN_CHECKS)
+def test_value_checks_refuse_nan(name):
+    with pytest.raises(ValueError):
+        NAN_CHECKS[name]()
